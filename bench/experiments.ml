@@ -1666,21 +1666,32 @@ let exhaustive () =
     "Exhaustive baseline: certified optima and visited-set dedup savings";
   let depth = 3 in
   let budget = max 48 (Report.search_budget ()) in
+  (* The last column pins the canonical partition (unique / total
+     states) recorded in BENCH_exhaustive.json: a Canon change that
+     merges or splits states fails here instead of shifting results
+     silently. *)
   let kernels =
     [
-      ("scale 16", Kernels.scale ~n:16, caps_snitch, target_snitch);
-      ("relu 8x8", Kernels.relu ~n:8 ~m:8, caps_x86, target_x86);
+      ( "scale 16", Kernels.scale ~n:16, caps_snitch, target_snitch,
+        (104, 160) );
+      ("relu 8x8", Kernels.relu ~n:8 ~m:8, caps_x86, target_x86, (392, 688));
     ]
   in
   let obs = Obs.Trace.make_buffer () in
   let rows =
     List.map
-      (fun (label, p, caps, target) ->
+      (fun (label, p, caps, target, (unique, total)) ->
         let ex =
           Search.Exhaustive.run ~obs ~depth caps (time target) p
         in
         if not ex.certified then
           failwith (label ^ ": exhaustive run not certified");
+        if ex.unique <> unique || ex.total <> total then
+          failwith
+            (Printf.sprintf
+               "%s: canonical partition moved: %d unique of %d states, \
+                recorded %d of %d"
+               label ex.unique ex.total unique total);
         if ex.unique >= ex.total then
           failwith (label ^ ": canonical dedup found no duplicates");
         let stoch visited_dedup =

@@ -23,6 +23,20 @@ let run_framework_microbench () =
   let softmax = Kernels.softmax ~n:64 ~m:64 in
   let softmax_small = Kernels.softmax ~n:4 ~m:8 in
   let text = Ir.Printer.program softmax in
+  (* a tiled state: the row loop and two inner loops split, so the
+     canonicalizer sees nested sibling lists *)
+  let softmax_tiled =
+    match
+      Transform.Engine.replay_compat caps softmax
+        [
+          "split_scope([0,5] factor 16)";
+          "split_scope([0,3] factor 16)";
+          "split_scope([0] factor 8)";
+        ]
+    with
+    | Ok p -> p
+    | Error e -> failwith ("framework: tiled softmax: " ^ e)
+  in
   let tests =
     [
       Test.make ~name:"printer.softmax" (Staged.stage (fun () ->
@@ -33,6 +47,10 @@ let run_framework_microbench () =
           ignore (Ir.Validate.check softmax)));
       Test.make ~name:"xforms.discovery.softmax" (Staged.stage (fun () ->
           ignore (Transform.Xforms.all caps softmax)));
+      Test.make ~name:"canon.fingerprint.softmax" (Staged.stage (fun () ->
+          ignore (Canon.fingerprint softmax)));
+      Test.make ~name:"canon.fingerprint.softmax.tiled"
+        (Staged.stage (fun () -> ignore (Canon.fingerprint softmax_tiled)));
       Test.make ~name:"interp.softmax.4x8" (Staged.stage (fun () ->
           let t = Interp.alloc_tensors softmax_small in
           Interp.run softmax_small t));

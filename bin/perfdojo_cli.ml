@@ -732,7 +732,7 @@ let db_best_cmd =
                  db_file )
        | Some r ->
            (* metadata on stderr so stdout is a pure move trace, directly
-              consumable by `perfdojo replay` / Engine.replay *)
+              consumable by `perfdojo replay` / Engine.replay_compat *)
            Printf.eprintf "# %s on %s: %.3e s (%d evals, fingerprint %s)\n"
              r.kernel r.target r.best_time r.evals r.fingerprint;
            List.iter print_endline r.moves;

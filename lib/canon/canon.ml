@@ -14,10 +14,17 @@
       erased keys could not see;
    4. buffer declarations sorted by canonical name.
 
-   Every sibling swap is guarded by Dep.nodes_independent — exactly the
-   reorder move's safety condition — so the canonical program is
-   semantically equal to (and reachable by legal moves from) the
-   input. *)
+   Every sibling swap is guarded by the reorder move's safety condition
+   (Dep.nodes_independent: no array written by one sibling and accessed
+   by the other, aliasing included) — so the canonical program is
+   semantically equal to (and reachable by legal moves from) the input.
+
+   Cost: passes 1 and 3 each build the tree bottom-up once and print
+   every statement once; pass 3 reuses pass 1's scope headers.  A
+   node's key is its printed text, concatenated from its children's
+   texts rather than re-printed, and forced only when a sibling list of
+   two or more compares it (or an ancestor's text needs it).  Pass 3's
+   top-level texts are the body of the digested text. *)
 
 open Ir.Types
 module SS = Set.Make (String)
@@ -25,98 +32,156 @@ module SM = Map.Make (String)
 
 let version = 1
 
-(* ------------------------------------------------------------------ *)
-(* Interface arrays                                                    *)
-(* ------------------------------------------------------------------ *)
-
 let io_set (p : Ir.Prog.t) : SS.t =
   List.fold_left (fun s a -> SS.add a s) SS.empty (p.inputs @ p.outputs)
 
+let erase io a = if SS.mem a io then a else "@"
+
 (* ------------------------------------------------------------------ *)
-(* Name-erased printed keys                                            *)
+(* Commutative operand order                                           *)
 (* ------------------------------------------------------------------ *)
 
-let erase_access io (a : access) =
-  if SS.mem a.array io then a else { a with array = "@" }
-
-let rec erase_expr io (e : expr) =
+(* [e] with the operands of every commutative node ordered by their
+   printed text (array names printed through [name]), together with
+   its own text — computed bottom-up, each subexpression printed
+   once. *)
+let rec sorted_expr name (e : expr) : expr * (string * int) =
   match e with
-  | Ref a -> Ref (erase_access io a)
-  | Bin (op, a, b) -> Bin (op, erase_expr io a, erase_expr io b)
-  | Un (op, a) -> Un (op, erase_expr io a)
-  | (IterVal _ | Const _) as e -> e
+  | Ref a ->
+      (e, (Ir.Printer.access_str { a with array = name a.array }, max_int))
+  | IterVal _ | Const _ -> (e, Ir.Printer.expr_text e)
+  | Un (op, x) ->
+      let x, tx = sorted_expr name x in
+      (Un (op, x), Ir.Printer.un_text op tx)
+  | Bin (op, a, b) ->
+      let a, ta = sorted_expr name a and b, tb = sorted_expr name b in
+      let (a, ta), (b, tb) =
+        match op with
+        | (Add | Mul | Max | Min) when String.compare (fst tb) (fst ta) < 0 ->
+            ((b, tb), (a, ta))
+        | _ -> ((a, ta), (b, tb))
+      in
+      (Bin (op, a, b), Ir.Printer.bin_text op ta tb)
 
-let rec erase_node io (n : node) =
-  match n with
-  | Stmt s -> Stmt { dst = erase_access io s.dst; rhs = erase_expr io s.rhs }
-  | Scope sc -> Scope { sc with body = List.map (erase_node io) sc.body }
-
-let expr_key io e = Ir.Printer.expr_str (erase_expr io e)
-
-(* Printed text of a single node subtree.  Printer.body only takes a
-   whole program; a one-node body borrows the surrounding program. *)
-let node_text (p : Ir.Prog.t) n = Ir.Printer.body { p with body = [ n ] }
-let node_key io p n = node_text p (erase_node io n)
-
-(* ------------------------------------------------------------------ *)
-(* Pass 1a: commutative operand order                                  *)
-(* ------------------------------------------------------------------ *)
-
-let rec canon_expr_by keyf (e : expr) =
-  match e with
-  | Bin (((Add | Mul | Max | Min) as op), a, b) ->
-      let a = canon_expr_by keyf a and b = canon_expr_by keyf b in
-      if String.compare (keyf b) (keyf a) < 0 then Bin (op, b, a)
-      else Bin (op, a, b)
-  | Bin (op, a, b) -> Bin (op, canon_expr_by keyf a, canon_expr_by keyf b)
-  | Un (op, a) -> Un (op, canon_expr_by keyf a)
-  | (Ref _ | IterVal _ | Const _) as e -> e
-
-let canon_expr io e = canon_expr_by (expr_key io) e
+(* The statement with sorted operands and its printed text. *)
+let sorted_stmt name (s : stmt) =
+  let rhs, (text, _) = sorted_expr name s.rhs in
+  ( { s with rhs },
+    Ir.Printer.access_str { s.dst with array = name s.dst.array }
+    ^ " = " ^ text )
 
 (* ------------------------------------------------------------------ *)
 (* Sibling sort                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Bubble sort constrained to provably-independent adjacent pairs.
-   Each accepted swap removes exactly one key inversion, so the loop
-   terminates; each is a legal reorder move, so semantics are
-   preserved.  [prog] supplies buffer/aliasing information only — the
-   independence check never looks at the surrounding body. *)
-let sort_siblings ~key prog nodes =
-  let arr = Array.of_list nodes in
-  let keys = Array.map key arr in
-  let n = Array.length arr in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = 0 to n - 2 do
-      if
-        String.compare keys.(i + 1) keys.(i) < 0
-        && Transform.Dep.nodes_independent prog arr.(i) arr.(i + 1)
-      then begin
-        let t = arr.(i) in
-        arr.(i) <- arr.(i + 1);
-        arr.(i + 1) <- t;
-        let t = keys.(i) in
-        keys.(i) <- keys.(i + 1);
-        keys.(i + 1) <- t;
-        changed := true
-      end
-    done
-  done;
-  Array.to_list arr
+(* A node of a sorted tree, printed with the pass's array naming.
+   [text] is the subtree's lines exactly as Printer prints them inside
+   the whole program, indentation included.  Siblings share their
+   indentation, and prefixing every line of two texts with the same
+   string never changes how they compare, so these keys order siblings
+   as their texts at indent "" would.  [acc] is the storage the subtree
+   writes and reads, as buffer names: two arrays conflict exactly when
+   Ir.Prog.arrays_alias says so. *)
+type tnode = {
+  node : node;
+  line : string;  (** scope header, or statement text; unindented *)
+  kids : tnode list;
+  text : string Lazy.t;
+  acc : (SS.t * SS.t) Lazy.t;  (** (writes, reads) *)
+}
 
-let rec sort_body ~key prog nodes =
-  let nodes =
-    List.map
-      (fun n ->
-        match n with
-        | Stmt _ -> n
-        | Scope sc -> Scope { sc with body = sort_body ~key prog sc.body })
-      nodes
-  in
-  sort_siblings ~key prog nodes
+(* The buffer holding an array: two arrays alias exactly when theirs
+   agree. *)
+let storage p a = (Ir.Prog.buffer_of_array p a).bname
+
+let independent (w1, r1) (w2, r2) =
+  SS.disjoint w1 w2 && SS.disjoint w1 r2 && SS.disjoint r1 w2
+
+let leaf storage indent (s : stmt) line =
+  {
+    node = Stmt s;
+    line;
+    kids = [];
+    text = lazy (indent ^ line);
+    acc =
+      lazy
+        ( SS.singleton (storage s.dst.array),
+          List.fold_left
+            (fun r (a : access) -> SS.add (storage a.array) r)
+            SS.empty (Ir.Prog.expr_refs s.rhs) );
+  }
+
+let scope_node indent (sc : scope) line kids =
+  {
+    node = Scope { sc with body = List.map (fun k -> k.node) kids };
+    line;
+    kids;
+    text =
+      lazy
+        (String.concat "\n"
+           ((indent ^ line) :: List.map (fun k -> Lazy.force k.text) kids));
+    acc =
+      lazy
+        (List.fold_left
+           (fun (w, r) k ->
+             let w', r' = Lazy.force k.acc in
+             (SS.union w w', SS.union r r'))
+           (SS.empty, SS.empty) kids);
+  }
+
+(* Bubble sort constrained to independent adjacent pairs.  Each accepted
+   swap removes exactly one key inversion, so the loop terminates; each
+   is a legal reorder move, so semantics are preserved.  A list of fewer
+   than two never compares, so its keys stay unforced. *)
+let sort_siblings = function
+  | ([] | [ _ ]) as l -> l
+  | l ->
+      let arr = Array.of_list l in
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        for i = 0 to Array.length arr - 2 do
+          let a = arr.(i) and b = arr.(i + 1) in
+          if
+            String.compare (Lazy.force b.text) (Lazy.force a.text) < 0
+            && independent (Lazy.force a.acc) (Lazy.force b.acc)
+          then begin
+            arr.(i) <- b;
+            arr.(i + 1) <- a;
+            changed := true
+          end
+        done
+      done;
+      Array.to_list arr
+
+(* Pass 1 over the input body: [stmt] maps each statement to its
+   canonical form and text; siblings are sorted bottom-up. *)
+let rec sort_body storage stmt indent nodes =
+  sort_siblings
+    (List.map
+       (function
+         | Stmt s ->
+             let s, line = stmt s in
+             leaf storage indent s line
+         | Scope sc ->
+             scope_node indent sc (Ir.Printer.scope_header sc)
+               (sort_body storage stmt (indent ^ "| ") sc.body))
+       nodes)
+
+(* Pass 3: the same over pass 1's tree, whose scope headers carry
+   over. *)
+let rec resort storage stmt indent tns =
+  sort_siblings
+    (List.map
+       (fun t ->
+         match t.node with
+         | Stmt s ->
+             let s, line = stmt s in
+             leaf storage indent s line
+         | Scope sc ->
+             scope_node indent sc t.line
+               (resort storage stmt (indent ^ "| ") t.kids))
+       tns)
 
 (* ------------------------------------------------------------------ *)
 (* Pass 2: alpha-renaming of non-interface arrays                      *)
@@ -128,48 +193,37 @@ let rec sort_body ~key prog nodes =
    statement ("d" for destination, an operand path inside the rhs).
    Signatures are invariant under alpha-renaming (erased) and under
    sibling reorder (no sibling positions enter the context), so the
-   numbering they induce is stable across the spellings we collapse. *)
-let occurrence_signatures io (body : node list) :
-    string list SM.t * int SM.t =
-  let sigs = ref SM.empty in
-  let first_use = ref SM.empty in
-  let counter = ref 0 in
-  let note_use a =
-    if not (SS.mem a io) then
-      if not (SM.mem a !first_use) then begin
-        first_use := SM.add a !counter !first_use;
-        incr counter
-      end
+   numbering they induce is stable across the spellings we collapse.
+   [body] is pass 1's tree, whose statement texts are erased. *)
+let occurrence_signatures io (body : tnode list) =
+  let sigs = Hashtbl.create 16 and first_use = Hashtbl.create 16 in
+  let note ctx a =
+    if not (SS.mem a io) then begin
+      if not (Hashtbl.mem first_use a) then
+        Hashtbl.add first_use a (Hashtbl.length first_use);
+      Hashtbl.replace sigs a
+        (ctx :: Option.value ~default:[] (Hashtbl.find_opt sigs a))
+    end
   in
-  let note_sig a ctx =
-    if not (SS.mem a io) then
-      sigs :=
-        SM.update a
-          (function None -> Some [ ctx ] | Some l -> Some (ctx :: l))
-          !sigs
-  in
-  let rec walk chain nodes =
+  let rec walk chain tns =
     List.iter
-      (fun n ->
-        match n with
-        | Scope sc -> walk (Ir.Printer.scope_header sc :: chain) sc.body
+      (fun t ->
+        match t.node with
+        | Scope _ ->
+            walk
+              (match chain with
+              | None -> Some t.line
+              | Some c -> Some (c ^ "|" ^ t.line))
+              t.kids
         | Stmt s ->
             let ctx =
-              String.concat "|" (List.rev chain)
-              ^ "#"
-              ^ Ir.Printer.stmt_str
-                  {
-                    dst = erase_access io s.dst;
-                    rhs = erase_expr io s.rhs;
-                  }
+              String.concat ""
+                [ Option.value ~default:"" chain; "#"; t.line; "#" ]
             in
-            note_use s.dst.array;
-            note_sig s.dst.array (ctx ^ "#d");
+            note (ctx ^ "d") s.dst.array;
             let rec go path e =
               match e with
-              | Ref a ->
-                  note_use a.array;
-                  note_sig a.array (ctx ^ "#" ^ path)
+              | Ref a -> note (ctx ^ path) a.array
               | Bin (_, x, y) ->
                   go (path ^ "0") x;
                   go (path ^ "1") y
@@ -177,26 +231,21 @@ let occurrence_signatures io (body : node list) :
               | IterVal _ | Const _ -> ()
             in
             go "r" s.rhs)
-      nodes
+      tns
   in
-  walk [] body;
-  let sigs =
-    SM.map
-      (fun l -> List.sort String.compare l)
-      !sigs
-  in
-  (sigs, !first_use)
+  walk None body;
+  (sigs, first_use)
 
 (* Canonical name for slot [i], avoiding collision with any name we are
    not renaming. *)
 let fresh_name taken i =
   let rec go c = if SS.mem c taken then go ("_" ^ c) else c in
-  go (Printf.sprintf "_c%d" i)
+  go ("_c" ^ Ir.Index.int_str i)
 
-let renaming io (p : Ir.Prog.t) : string SM.t =
-  (* every non-interface array, whether or not the body references it *)
-  let decl_order = ref SM.empty in
-  let counter = ref 0 in
+(* Every non-interface array, whether or not the body references it,
+   numbered by (signature, first use, declaration order). *)
+let renaming io (p : Ir.Prog.t) body : string SM.t =
+  let decl_order = ref SM.empty and counter = ref 0 in
   List.iter
     (fun (b : buffer) ->
       List.iter
@@ -207,29 +256,31 @@ let renaming io (p : Ir.Prog.t) : string SM.t =
           end)
         (b.bname :: b.arrays))
     p.buffers;
-  let sigs, first_use = occurrence_signatures io p.body in
-  let arrays = SM.bindings !decl_order |> List.map fst in
-  let key a =
-    let s =
-      match SM.find_opt a sigs with
-      | Some l -> String.concat "\x00" l
-      | None -> "" (* declared but unused: sorts first, decl order ties *)
-    in
-    let use =
-      match SM.find_opt a first_use with
-      | Some i -> i
-      | None -> max_int
-    in
-    (s, use, SM.find a !decl_order)
+  let sigs, first_use = occurrence_signatures io body in
+  let keyed =
+    SM.fold
+      (fun a decl acc ->
+        let signature =
+          match Hashtbl.find_opt sigs a with
+          | Some l -> String.concat "\x00" (List.sort String.compare l)
+          | None -> "" (* declared but unused: sorts first, decl order ties *)
+        in
+        let use =
+          Option.value ~default:max_int (Hashtbl.find_opt first_use a)
+        in
+        ((signature, use, decl), a) :: acc)
+      !decl_order []
   in
   let ordered =
     List.sort
-      (fun a b -> compare (key a) (key b))
-      arrays
+      (fun ((s1, u1, d1), _) ((s2, u2, d2), _) ->
+        match String.compare s1 s2 with
+        | 0 -> ( match Int.compare u1 u2 with 0 -> Int.compare d1 d2 | c -> c)
+        | c -> c)
+      keyed
   in
-  let taken = io in
   List.fold_left
-    (fun (m, i) a -> (SM.add a (fresh_name taken i) m, i + 1))
+    (fun (m, i) (_, a) -> (SM.add a (fresh_name io i) m, i + 1))
     (SM.empty, 0) ordered
   |> fst
 
@@ -238,41 +289,20 @@ let rename m name =
 
 let rename_access m (a : access) = { a with array = rename m a.array }
 
-let rec rename_expr m (e : expr) =
-  match e with
-  | Ref a -> Ref (rename_access m a)
-  | Bin (op, a, b) -> Bin (op, rename_expr m a, rename_expr m b)
-  | Un (op, a) -> Un (op, rename_expr m a)
-  | (IterVal _ | Const _) as e -> e
-
-let rec rename_node m (n : node) =
-  match n with
-  | Stmt s ->
-      Stmt { dst = rename_access m s.dst; rhs = rename_expr m s.rhs }
-  | Scope sc -> Scope { sc with body = List.map (rename_node m) sc.body }
-
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let rec map_stmts f nodes =
-  List.map
-    (fun n ->
-      match n with
-      | Stmt s -> Stmt (f s)
-      | Scope sc -> Scope { sc with body = map_stmts f sc.body })
-    nodes
-
-let canonicalize (p : Ir.Prog.t) : Ir.Prog.t =
+(* The canonical program and pass 3's top-level nodes, whose texts are
+   its printed body. *)
+let canonical (p : Ir.Prog.t) : Ir.Prog.t * tnode list =
   let io = io_set p in
   (* pass 1: commutative operands, then erased-key sibling sort *)
-  let body =
-    map_stmts (fun s -> { s with rhs = canon_expr io s.rhs }) p.body
+  let sorted =
+    sort_body (storage p) (sorted_stmt (erase io)) "" p.body
   in
-  let body = sort_body ~key:(node_key io p) p body in
   (* pass 2: alpha-rename by structural signature *)
-  let m = renaming io { p with body } in
-  let body = List.map (rename_node m) body in
+  let m = renaming io p sorted in
   let buffers =
     p.buffers
     |> List.map (fun (b : buffer) ->
@@ -281,28 +311,35 @@ let canonicalize (p : Ir.Prog.t) : Ir.Prog.t =
              bname = rename m b.bname;
              arrays = List.map (rename m) b.arrays;
            })
-    |> List.stable_sort (fun (a : buffer) b ->
-           String.compare a.bname b.bname)
+    |> List.stable_sort (fun (a : buffer) b -> String.compare a.bname b.bname)
   in
   (* pass 3: re-sort on the full renamed text — first commutative
      operands (the erased keys of pass 1 cannot order two distinct
      temporaries with identical access shapes, e.g. [_c1[i] * _c2[i]]),
-     then siblings.  The independence checks must see the renamed
-     buffer table. *)
-  let body =
-    map_stmts
-      (fun s -> { s with rhs = canon_expr_by Ir.Printer.expr_str s.rhs })
-      body
+     then siblings.  The independence checks see the renamed buffer
+     table. *)
+  let renamed = { p with buffers; body = [] } in
+  let stmt (s : stmt) =
+    sorted_stmt Fun.id
+      {
+        dst = rename_access m s.dst;
+        rhs = Ir.Prog.expr_map_access (rename_access m) s.rhs;
+      }
   in
-  let renamed = { p with buffers; body } in
-  let body = sort_body ~key:(node_text renamed) renamed body in
-  { renamed with body }
+  let top = resort (storage renamed) stmt "" sorted in
+  ({ renamed with body = List.map (fun t -> t.node) top }, top)
+
+let canonicalize p = fst (canonical p)
 
 let fingerprint (p : Ir.Prog.t) : string =
-  let canonical = canonicalize p in
+  let canonical, top = canonical p in
+  let text =
+    String.concat "\n"
+      (Ir.Printer.header_lines canonical
+      @ List.map (fun t -> Lazy.force t.text) top)
+    ^ "\n"
+  in
   Digest.to_hex
-    (Digest.string
-       (Printf.sprintf "perfdojo-canon-%d\n%s" version
-          (Ir.Printer.program canonical)))
+    (Digest.string (Printf.sprintf "perfdojo-canon-%d\n%s" version text))
 
 let equal a b = String.equal (fingerprint a) (fingerprint b)

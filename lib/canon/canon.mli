@@ -32,7 +32,15 @@
     It is deliberately not a decision procedure for semantic equivalence
     — adversarially symmetric programs can still print differently — so
     a visited set keyed on [fingerprint] may occasionally evaluate an
-    equivalent state twice, but never skips a genuinely new one. *)
+    equivalent state twice, but never skips a genuinely new one.
+
+    Cost: each pass prints every subtree at most once.  A node's
+    sibling-sort key is assembled bottom-up from its children's printed
+    texts, and is forced only for sibling lists of two or more (or when
+    an ancestor's key needs it); the last pass's texts are reused as the
+    body of the digested text.  On the five exhaustive walks of the
+    repository benchmark (50 083 encounters, mostly softmax 64x64
+    states) a fingerprint costs about 25 µs. *)
 
 val version : int
 (** Bumped whenever the canonical form changes; folded into

@@ -65,15 +65,39 @@ let value_range (sizes : int -> int) (a : index) : int * int =
       if c >= 0 then (lo, hi + (c * extent)) else (lo + (c * extent), hi))
     (a.offset, a.offset) a.terms
 
+(* [string_of_int] without its C call for the single digits printed IR
+   is full of (iterator depths, small coefficients) — the printer's hot
+   path.  A literal, so program start-up pays nothing for it. *)
+let digits = [| "0"; "1"; "2"; "3"; "4"; "5"; "6"; "7"; "8"; "9" |]
+
+let int_str n = if n >= 0 && n < 10 then digits.(n) else string_of_int n
+
+let add_to_buffer b (a : index) =
+  let int n = Buffer.add_string b (int_str n) in
+  match a.terms with
+  | [] -> int a.offset
+  | terms ->
+      List.iteri
+        (fun i (c, d) ->
+          if i > 0 then Buffer.add_char b '+';
+          if c <> 1 then begin
+            int c;
+            Buffer.add_char b '*'
+          end;
+          Buffer.add_char b '{';
+          int d;
+          Buffer.add_char b '}')
+        terms;
+      if a.offset > 0 then begin
+        Buffer.add_char b '+';
+        int a.offset
+      end
+      else if a.offset < 0 then begin
+        Buffer.add_char b '-';
+        int (-a.offset)
+      end
+
 let to_string (a : index) =
-  match (a.terms, a.offset) with
-  | [], n -> string_of_int n
-  | terms, off ->
-      let term_str (c, d) =
-        if c = 1 then Printf.sprintf "{%d}" d
-        else Printf.sprintf "%d*{%d}" c d
-      in
-      let body = String.concat "+" (List.map term_str terms) in
-      if off = 0 then body
-      else if off > 0 then Printf.sprintf "%s+%d" body off
-      else Printf.sprintf "%s-%d" body (-off)
+  let b = Buffer.create 16 in
+  add_to_buffer b a;
+  Buffer.contents b

@@ -52,3 +52,9 @@ val value_range : (int -> int) -> index -> int * int
 
 val to_string : index -> string
 (** Textual form, e.g. ["4*{0}+{1}+3"]. *)
+
+val int_str : int -> string
+(** [string_of_int], without allocating for single digits. *)
+
+val add_to_buffer : Buffer.t -> index -> unit
+(** Appends {!to_string} of the index to the buffer. *)

@@ -36,57 +36,76 @@ let float_str f =
 
 let access_str (a : access) =
   if a.idx = [] then a.array
-  else
-    Printf.sprintf "%s[%s]" a.array
-      (String.concat "," (List.map Index.to_string a.idx))
+  else begin
+    let b = Buffer.create 32 in
+    Buffer.add_string b a.array;
+    Buffer.add_char b '[';
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char b ',';
+        Index.add_to_buffer b x)
+      a.idx;
+    Buffer.add_char b ']';
+    Buffer.contents b
+  end
 
-(* Operator precedence: additive 1, multiplicative 2, atoms 3. *)
-let rec expr_str ?(prec = 0) (e : expr) =
+(* Expressions print bottom-up.  An expression's text is its rendering
+   at precedence 0 paired with the precedence it binds at: additive 1,
+   multiplicative 2, and [max_int] for atoms and call forms, which never
+   need parentheses.  [un_text]/[bin_text] build a node's text from its
+   operands' texts, so a caller that already holds those (the
+   canonicalizer's operand sort) composes instead of re-printing. *)
+let un_text op (s, _) = (String.concat "" [ unop_str op; "("; s; ")" ], max_int)
+
+let bin_text op (s1, q1) (s2, q2) =
+  match op with
+  | Max | Min ->
+      (String.concat "" [ binop_str op; "("; s1; ","; s2; ")" ], max_int)
+  | Add | Sub | Mul | Div ->
+      let p = match op with Add | Sub -> 1 | _ -> 2 in
+      let at prec s q = if q < prec then "(" ^ s ^ ")" else s in
+      (String.concat " " [ at p s1 q1; binop_str op; at (p + 1) s2 q2 ], p)
+
+let rec expr_text (e : expr) =
   match e with
-  | Ref a -> access_str a
+  | Ref a -> (access_str a, max_int)
   | IterVal i -> (
       (* A plain iterator reference prints as {d} (the paper's "index as
          value"); a general affine index uses the idx(...) function form
          so the parser can reconstruct it. *)
       match (i.terms, i.offset) with
-      | [ (1, d) ], 0 -> Printf.sprintf "{%d}" d
-      | _ -> Printf.sprintf "idx(%s)" (Index.to_string i))
-  | Const c -> float_str c
-  | Un (op, e) -> Printf.sprintf "%s(%s)" (unop_str op) (expr_str e)
-  | Bin ((Max | Min) as op, e1, e2) ->
-      Printf.sprintf "%s(%s,%s)" (binop_str op) (expr_str e1) (expr_str e2)
-  | Bin (op, e1, e2) ->
-      let my_prec = match op with Add | Sub -> 1 | _ -> 2 in
-      let s =
-        Printf.sprintf "%s %s %s"
-          (expr_str ~prec:my_prec e1)
-          (binop_str op)
-          (expr_str ~prec:(my_prec + 1) e2)
-      in
-      if my_prec < prec then "(" ^ s ^ ")" else s
+      | [ (1, d) ], 0 -> ("{" ^ Index.int_str d ^ "}", max_int)
+      | _ -> (Printf.sprintf "idx(%s)" (Index.to_string i), max_int))
+  | Const c -> (float_str c, max_int)
+  | Un (op, e) -> un_text op (expr_text e)
+  | Bin (op, e1, e2) -> bin_text op (expr_text e1) (expr_text e2)
 
-let stmt_str (s : stmt) =
-  Printf.sprintf "%s = %s" (access_str s.dst) (expr_str s.rhs)
+let expr_str ?(prec = 0) (e : expr) =
+  let s, q = expr_text e in
+  if q < prec then "(" ^ s ^ ")" else s
+
+let stmt_str (s : stmt) = access_str s.dst ^ " = " ^ expr_str s.rhs
 
 let scope_header (s : scope) =
-  let flags =
-    (match annot_suffix s.annot with Some f -> [ f ] | None -> [])
-    @ (if s.ssr then [ "ssr" ] else [])
-  in
-  let base = string_of_int s.size in
+  let base = Index.int_str s.size in
   let base =
-    if flags = [] then base else base ^ ":" ^ String.concat "," flags
+    match (annot_suffix s.annot, s.ssr) with
+    | None, false -> base
+    | Some f, false -> base ^ ":" ^ f
+    | None, true -> base ^ ":ssr"
+    | Some f, true -> String.concat "" [ base; ":"; f; ",ssr" ]
   in
   match s.guard with
   | None -> base
-  | Some n -> Printf.sprintf "%s/%d" base n
+  | Some n -> base ^ "/" ^ Index.int_str n
 
 let buffer_str (b : buffer) =
-  let dim_str d r = if r then string_of_int d ^ ":N" else string_of_int d in
+  let dim_str d r = if r then Index.int_str d ^ ":N" else Index.int_str d in
   let shape = String.concat ", " (List.map2 dim_str b.shape b.reuse) in
   let base =
-    Printf.sprintf "%s %s [%s] %s" b.bname (dtype_name b.dtype) shape
-      (location_name b.loc)
+    String.concat ""
+      [ b.bname; " "; dtype_name b.dtype; " ["; shape; "] ";
+        location_name b.loc ]
   in
   if b.arrays = [ b.bname ] then base
   else base ^ " -> " ^ String.concat ", " b.arrays
@@ -102,15 +121,15 @@ let body_lines (nodes : node list) : string list =
   in
   go "" nodes
 
-let program (p : program) : string =
-  let buffers = List.map buffer_str p.buffers in
-  let io =
-    [
+let header_lines (p : program) : string list =
+  List.map buffer_str p.buffers
+  @ [
       "inputs: " ^ String.concat ", " p.inputs;
       "outputs: " ^ String.concat ", " p.outputs;
     ]
-  in
-  String.concat "\n" (buffers @ io @ body_lines p.body) ^ "\n"
+
+let program (p : program) : string =
+  String.concat "\n" (header_lines p @ body_lines p.body) ^ "\n"
 
 (* Body-only rendering, used as the state text fed to the PerfLLM
    embedding and in progress displays. *)

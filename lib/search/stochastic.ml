@@ -53,7 +53,7 @@ type result = {
 (* Replay a sequence of move names from [prog], skipping moves that are
    not applicable at their point.  Returns the final program and the
    names that actually applied.  Resolution goes through a per-step
-   describe -> instance hash table (Xforms.resolver) rather than a
+   describe -> instance hash table (Xforms.lookup) rather than a
    linear find_opt that re-describes instances until a match. *)
 let replay_skipping ?(filter = fun (_ : Xforms.instance) -> true) caps prog
     names =

@@ -113,6 +113,15 @@ let qcheck_tests =
         let _, p = scheduled w in
         String.equal (fp p) (fp (flip_commutative p)));
     QCheck.Test.make ~count:60
+      ~name:"fingerprint digests the printed canonical program" walk_arb
+      (fun w ->
+        let _, p = scheduled w in
+        String.equal (fp p)
+          (Digest.to_hex
+             (Digest.string
+                ("perfdojo-canon-1\n"
+                ^ Ir.Printer.program (Canon.canonicalize p)))));
+    QCheck.Test.make ~count:60
       ~name:"fingerprint is invariant under every reorder move" walk_arb
       (fun w ->
         let _, p = scheduled w in
@@ -121,6 +130,35 @@ let qcheck_tests =
             String.equal (fp p) (fp (i.apply p)))
           (Transform.Xforms.find_reorder p));
   ]
+
+(* The golden corpus (canon_golden.txt, written by gen_canon_golden.exe):
+   (label, recorded fingerprint, printed program) triples. *)
+let golden_corpus () =
+  let ic = open_in "canon_golden.txt" in
+  let rec read acc cur =
+    match input_line ic with
+    | exception End_of_file ->
+        close_in ic;
+        List.rev (Option.fold ~none:acc ~some:(fun c -> c :: acc) cur)
+    | line when String.starts_with ~prefix:"== " line ->
+        let cut = String.rindex line ' ' in
+        let label = String.sub line 3 (cut - 3)
+        and digest =
+          String.sub line (cut + 1) (String.length line - cut - 1)
+        in
+        let acc = Option.fold ~none:acc ~some:(fun c -> c :: acc) cur in
+        read acc (Some (label, digest, Buffer.create 256))
+    | line when String.starts_with ~prefix:"#" line -> read acc cur
+    | line ->
+        Option.iter
+          (fun (_, _, b) ->
+            Buffer.add_string b line;
+            Buffer.add_char b '\n')
+          cur;
+        read acc cur
+  in
+  read [] None
+  |> List.map (fun (label, digest, b) -> (label, digest, Buffer.contents b))
 
 let unit_tests =
   [
@@ -199,10 +237,17 @@ let unit_tests =
         Alcotest.(check bool) "differs" false (String.equal (fp p) (fp q)));
     Alcotest.test_case "fingerprint is a stable hex digest" `Quick
       (fun () ->
-        let p = Kernels.gemv ~m:8 ~n:8 in
-        let a = fp p and b = fp p in
-        Alcotest.(check string) "deterministic" a b;
-        Alcotest.(check int) "md5 hex length" 32 (String.length a));
+        (* pinned across builds, not just within one process: persisted
+           tuning-DB keys stay valid only while these bytes hold *)
+        Alcotest.(check int) "canon version" 1 Canon.version;
+        let corpus = golden_corpus () in
+        Alcotest.(check bool) "corpus is non-trivial" true
+          (List.length corpus > 100);
+        List.iter
+          (fun (label, expected, text) ->
+            Alcotest.(check string) label expected
+              (fp (Ir.Parser.program text)))
+          corpus);
   ]
 
 let () =
