@@ -37,6 +37,32 @@ let run_framework_microbench () =
     | Ok p -> p
     | Error e -> failwith ("framework: tiled softmax: " ^ e)
   in
+  (* fixed 6-move heuristic paths, replayed from the root as a search
+     candidate is *)
+  let softmax_path =
+    [
+      "split_scope([0,5] factor 16)"; "vectorize([0,5,0])";
+      "split_scope([0,3] factor 16)"; "vectorize([0,3,0])";
+      "set_storage(s -> register)"; "parallelize([0])";
+    ]
+  in
+  let snitch = Machine.caps (Machine.Desc.Snitch Machine.Desc.snitch_cluster) in
+  let gemv = Kernels.gemv ~m:64 ~n:64 in
+  let gemv_path =
+    [
+      "fission([0] at 1)"; "split_reduction([1,0] into 4)";
+      "unroll([1,1,0])"; "set_storage(z__part -> register)";
+      "enable_ssr([0])"; "enable_frep([0])";
+    ]
+  in
+  let split_reduce_unroll =
+    match Transfo.Composites.find "split_reduce_unroll" with
+    | None -> failwith "framework: split_reduce_unroll missing"
+    | Some c -> (
+        match c.make [ ("into", "4") ] with
+        | Ok t -> t
+        | Error e -> failwith ("framework: split_reduce_unroll: " ^ e))
+  in
   let tests =
     [
       Test.make ~name:"printer.softmax" (Staged.stage (fun () ->
@@ -47,6 +73,18 @@ let run_framework_microbench () =
           ignore (Ir.Validate.check softmax)));
       Test.make ~name:"xforms.discovery.softmax" (Staged.stage (fun () ->
           ignore (Transform.Xforms.all caps softmax)));
+      Test.make ~name:"transform.replay.heuristic.softmax"
+        (Staged.stage (fun () ->
+             ignore
+               (Search.Stochastic.replay_skipping caps softmax softmax_path)));
+      Test.make ~name:"transform.replay.heuristic.gemv"
+        (Staged.stage (fun () ->
+             ignore (Search.Stochastic.replay_skipping snitch gemv gemv_path)));
+      Test.make ~name:"transfo.expand.gemv"
+        (Staged.stage (fun () ->
+             ignore
+               (split_reduce_unroll.Transform.Engine.expand snitch gemv
+                  ~anchor:[ 0; 1 ])));
       Test.make ~name:"canon.fingerprint.softmax" (Staged.stage (fun () ->
           ignore (Canon.fingerprint softmax)));
       Test.make ~name:"canon.fingerprint.softmax.tiled"
@@ -88,8 +126,8 @@ let run_framework_microbench () =
   Hashtbl.iter
     (fun name result ->
       match Bechamel.Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "  %-36s %12.1f ns/run\n" name est
-      | _ -> Printf.printf "  %-36s (no estimate)\n" name)
+      | Some [ est ] -> Printf.printf "  %-44s %12.1f ns/run\n" name est
+      | _ -> Printf.printf "  %-44s (no estimate)\n" name)
     results
 
 (* Strip `--db FILE` and `--fault-rate R` from the argument list,

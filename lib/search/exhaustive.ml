@@ -58,7 +58,7 @@ let default_max_states = 20_000
 let replay_exact ~filter caps root moves =
   List.fold_left
     (fun p name ->
-      match Xforms.lookup ~filter (Xforms.all caps p) name with
+      match Xforms.resolve ~filter caps p name with
       | Some inst -> inst.apply p
       | None ->
           Recover.Field.corrupt "checkpointed path does not replay: %S" name)

@@ -7,7 +7,10 @@
        neighbors are produced by modifying the sequence at an arbitrary
        point (replace / delete / insert a move) and replaying the rest,
        skipping moves that became inapplicable — the paper's
-       "iteratively refined at arbitrary points" structure.
+       "iteratively refined at arbitrary points" structure.  Each
+       candidate keeps the state after every prefix of its moves (its
+       trail), so a child replays only the suffix after the mutation
+       point.
 
    Two methods:
      - weighted random sampling over all previously encountered
@@ -51,67 +54,93 @@ type result = {
 }
 
 (* Replay a sequence of move names from [prog], skipping moves that are
-   not applicable at their point.  Returns the final program and the
-   names that actually applied.  Resolution goes through a per-step
-   describe -> instance hash table (Xforms.lookup) rather than a
-   linear find_opt that re-describes instances until a match. *)
-let replay_skipping ?(filter = fun (_ : Xforms.instance) -> true) caps prog
+   not applicable at their point.  Returns the final program, the names
+   that actually applied and the state after each of them, both most
+   recent first.  Each step resolves its name through [Xforms.resolve],
+   which runs only the named transformation's finder. *)
+let replay_states ?(filter = fun (_ : Xforms.instance) -> true) caps prog
     names =
   List.fold_left
-    (fun (p, applied) name ->
-      match Xforms.lookup ~filter (Xforms.all caps p) name with
-      | Some inst -> (inst.apply p, name :: applied)
-      | None -> (p, applied))
-    (prog, []) names
-  |> fun (p, applied) -> (p, List.rev applied)
+    (fun ((p, applied, states) as acc) name ->
+      match Xforms.resolve ~filter caps p name with
+      | Some (inst : Xforms.instance) ->
+          let q = inst.apply p in
+          (q, name :: applied, q :: states)
+      | None -> acc)
+    (prog, [], []) names
 
-(* One structural mutation of a move sequence. *)
-let mutate ?(filter = fun (_ : Xforms.instance) -> true) caps rng prog
-    (names : string list) : string list =
-  let n = List.length names in
-  let arr = Array.of_list names in
-  let choice = Util.Rng.int rng 3 in
-  if n = 0 || choice = 2 then begin
-    (* insert a random applicable move at a random point *)
-    let pos = if n = 0 then 0 else Util.Rng.int rng (n + 1) in
-    let prefix = Array.to_list (Array.sub arr 0 pos) in
-    let suffix = Array.to_list (Array.sub arr pos (n - pos)) in
-    let p, _ = replay_skipping ~filter caps prog prefix in
-    let insts = List.filter filter (Xforms.all caps p) in
-    if insts = [] then names
-    else
-      let inst = List.nth insts (Util.Rng.int rng (List.length insts)) in
-      prefix @ [ Xforms.describe inst ] @ suffix
-  end
-  else if choice = 0 then begin
-    (* delete a random move *)
-    let pos = Util.Rng.int rng n in
-    List.filteri (fun i _ -> i <> pos) names
-  end
-  else begin
-    (* replace a random move by another applicable at the same point *)
-    let pos = Util.Rng.int rng n in
-    let prefix = Array.to_list (Array.sub arr 0 pos) in
-    let suffix = Array.to_list (Array.sub arr (pos + 1) (n - pos - 1)) in
-    let p, _ = replay_skipping ~filter caps prog prefix in
-    let insts = List.filter filter (Xforms.all caps p) in
-    if insts = [] then names
-    else
-      let inst = List.nth insts (Util.Rng.int rng (List.length insts)) in
-      prefix @ [ Xforms.describe inst ] @ suffix
-  end
+let replay_skipping ?filter caps prog names =
+  let p, applied, _ = replay_states ?filter caps prog names in
+  (p, List.rev applied)
 
 type candidate = {
   moves : string list;
   prog : Ir.Prog.t;
+  trail : Ir.Prog.t array;
+      (* the state after each prefix of [moves], root first:
+         [trail.(i)] is the program after the first [i] moves, so
+         [trail.(0)] is the root and the last entry is [prog].  A
+         heuristic mutation reads its mutation point here instead of
+         replaying the prefix, and the child's replay resumes from it.
+         Fully built (no [Lazy]) because the batched build phase reads
+         parents from several domains; never serialized — resume
+         rebuilds it by replay, like [prog]. *)
   runtime : float;
   parent_runtime : float;
 }
 
-let eval_moves ?filter caps (objective : objective) prog names parent_runtime
-    =
-  let p, applied = replay_skipping ?filter caps prog names in
-  { moves = applied; prog = p; runtime = objective p; parent_runtime }
+let root_candidate root runtime =
+  { moves = []; prog = root; trail = [| root |]; runtime;
+    parent_runtime = runtime }
+
+(* The first [pos] of [moves] followed by [suffix] replayed from
+   [trail.(pos)], the state after those [pos] moves, as (applied moves,
+   final program, trail).  A replay of the whole sequence from the root
+   would rebuild exactly the same prefix states, since [moves] holds
+   only names that applied. *)
+let extend ?filter caps (moves, trail) pos suffix =
+  let p, applied, states = replay_states ?filter caps trail.(pos) suffix in
+  ( List.filteri (fun i _ -> i < pos) moves @ List.rev applied,
+    p,
+    Array.append (Array.sub trail 0 (pos + 1)) (Array.of_list (List.rev states))
+  )
+
+let from_root ?filter caps root names =
+  extend ?filter caps ([], [| root |]) 0 names
+
+(* One structural mutation of [parent]'s move sequence (replace / delete
+   / insert a move at a random point [pos]), as [pos] and the moves that
+   follow the parent's first [pos] in the child.  The state at [pos] is
+   read from the parent's trail. *)
+let mutate ?(filter = fun (_ : Xforms.instance) -> true) caps rng
+    (parent : candidate) : int * string list =
+  let n = List.length parent.moves in
+  let from k = List.filteri (fun i _ -> i >= k) parent.moves in
+  (* a random move applicable at [pos], in front of [rest]; with none
+     applicable the sequence stays as it was *)
+  let draw pos rest =
+    match List.filter filter (Xforms.all caps parent.trail.(pos)) with
+    | [] -> (pos, from pos)
+    | insts ->
+        let inst = List.nth insts (Util.Rng.int rng (List.length insts)) in
+        (pos, Xforms.describe inst :: rest)
+  in
+  let choice = Util.Rng.int rng 3 in
+  if n = 0 || choice = 2 then begin
+    (* insert *)
+    let pos = if n = 0 then 0 else Util.Rng.int rng (n + 1) in
+    draw pos (from pos)
+  end
+  else if choice = 0 then begin
+    (* delete *)
+    let pos = Util.Rng.int rng n in
+    (pos, from (pos + 1))
+  end
+  else begin
+    (* replace *)
+    let pos = Util.Rng.int rng n in
+    draw pos (from (pos + 1))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Guarded evaluation and quarantine                                   *)
@@ -124,7 +153,7 @@ let eval_moves ?filter caps (objective : objective) prog names parent_runtime
    the root so a quarantined entry carries no partially-transformed
    program. *)
 let quarantined root parent_runtime =
-  { moves = []; prog = root; runtime = infinity; parent_runtime }
+  { (root_candidate root infinity) with parent_runtime }
 
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)
@@ -192,29 +221,48 @@ let note_step ?metrics ?accepted ?temp ~runtime () =
       | None -> ()
       | Some t -> Obs.Metrics.set m "search.temperature" t
 
-(* Produce a child candidate according to the space structure.  In the
-   edges-structured space the child program is the parent program plus
-   one move, so it is returned directly (no replay from the root). *)
-let expand ?(filter = fun (_ : Xforms.instance) -> true) space caps rng root
-    (parent : candidate) : string list * Ir.Prog.t option =
+(* How a child grows from its parent.  In the edges-structured space
+   expansion appends and applies one move itself ([Grown], no replay).
+   In the heuristic space the child is the parent's first [pos] moves
+   followed by [suffix] ([Resume]); [grow] replays the suffix from the
+   parent's trail, inside the guard. *)
+type growth =
+  | Grown of string list * Ir.Prog.t * Ir.Prog.t array
+  | Resume of int * string list
+
+let expand ?(filter = fun (_ : Xforms.instance) -> true) space caps rng
+    (parent : candidate) : growth =
   match space with
   | Edges -> (
       (* append one applicable move *)
       let insts = List.filter filter (Xforms.all caps parent.prog) in
       match insts with
-      | [] -> (parent.moves, Some parent.prog)
+      | [] -> Grown (parent.moves, parent.prog, parent.trail)
       | _ ->
           let inst = List.nth insts (Util.Rng.int rng (List.length insts)) in
-          ( parent.moves @ [ Xforms.describe inst ],
-            Some (inst.apply parent.prog) ))
-  | Heuristic -> (mutate ~filter caps rng root parent.moves, None)
+          let p = inst.apply parent.prog in
+          Grown
+            ( parent.moves @ [ Xforms.describe inst ],
+              p,
+              Array.append parent.trail [| p |] ))
+  | Heuristic ->
+      let pos, suffix = mutate ~filter caps rng parent in
+      Resume (pos, suffix)
+
+let grow ?filter caps (parent : candidate) = function
+  | Grown (moves, prog, trail) -> (moves, prog, trail)
+  | Resume (pos, suffix) ->
+      extend ?filter caps (parent.moves, parent.trail) pos suffix
+
+let measured objective (moves, prog, trail) parent_runtime =
+  { moves; prog; trail; runtime = objective prog; parent_runtime }
 
 (* Expansion runs outside the guard — it consumes the search RNG, so a
    transient retry must not re-draw — but is still protected: a
    transform raising during [expand] quarantines the candidate exactly
    like an objective raising during evaluation. *)
-let expand_checked ?filter space caps rng root parent =
-  match expand ?filter space caps rng root parent with
+let expand_checked ?filter space caps rng parent =
+  match expand ?filter space caps rng parent with
   | v -> Ok v
   | exception e -> Error (Robust.Guard.rejected_of_exn e)
 
@@ -225,23 +273,13 @@ let expand_checked ?filter space caps rng root parent =
 let guarded_child ~guard ?filter space caps rng root objective
     (parent : candidate) : candidate * Robust.Guard.failure option =
   let outcome =
-    match expand_checked ?filter space caps rng root parent with
+    match expand_checked ?filter space caps rng parent with
     | Error f -> Error f
-    | Ok (child_moves, direct) ->
+    | Ok g ->
         Robust.Guard.run ~cfg:guard
           ~cost:(fun c -> c.runtime)
           (fun () ->
-            match direct with
-            | Some p ->
-                {
-                  moves = child_moves;
-                  prog = p;
-                  runtime = objective p;
-                  parent_runtime = parent.runtime;
-                }
-            | None ->
-                eval_moves ?filter caps objective root child_moves
-                  parent.runtime)
+            measured objective (grow ?filter caps parent g) parent.runtime)
           ()
   in
   match outcome with
@@ -275,7 +313,8 @@ let warm_candidate ~guard ?filter caps objective root (init : string list) :
     Result.map Option.some
       (Robust.Guard.run ~cfg:guard
          ~cost:(fun c -> c.runtime)
-         (fun () -> eval_moves ?filter caps objective root init infinity)
+         (fun () ->
+           measured objective (from_root ?filter caps root init) infinity)
          ())
 
 (* The candidate pool and its selection weights live in growable buffers
@@ -347,10 +386,7 @@ let random_sampling ?(seed = 1) ?filter ?(init = [])
   let rng = Util.Rng.create seed in
   let failures, note = make_noter ?metrics obs in
   let root_time = guarded_root ~guard ~note objective root in
-  let root_cand =
-    { moves = []; prog = root; runtime = root_time;
-      parent_runtime = root_time }
-  in
+  let root_cand = root_candidate root root_time in
   emit_start obs ~meth:"random-sampling" ~space ~budget ~seed ~root_time;
   let warm =
     guarded_warm ~guard ~note ?filter caps objective root ~root_time init
@@ -539,14 +575,11 @@ type slot_outcome =
 (* Grow one child without measuring it: the (moves, program) pair ready
    for dedup/ranking.  Exceptions from a transform or replay classify
    exactly like they did under the guard. *)
-let build_child ?filter space caps root (parent : candidate) task_rng :
-    (string list * Ir.Prog.t, Robust.Guard.failure) Stdlib.result =
+let build_child ?filter space caps (parent : candidate) task_rng :
+    (string list * Ir.Prog.t * Ir.Prog.t array, Robust.Guard.failure)
+    Stdlib.result =
   match
-    match expand ?filter space caps task_rng root parent with
-    | moves, Some p -> (moves, p)
-    | moves, None ->
-        let p, applied = replay_skipping ?filter caps root moves in
-        (applied, p)
+    grow ?filter caps parent (expand ?filter space caps task_rng parent)
   with
   | v -> Ok v
   | exception e -> Error (Robust.Guard.rejected_of_exn e)
@@ -577,7 +610,7 @@ let observe_seed prerank root ~root_time warm =
    build-failures. *)
 let run_batched_filtered ?filter ?metrics ?(start = 0) ?(curve_init = [||])
     ?(counters_init = (0, 0, 0, 0)) ?(round_end = no_round_end) ~obs ~batch
-    ~pool ~budget ~guard ~dedup ~prerank ~visited ~space ~caps ~root
+    ~pool ~budget ~guard ~dedup ~prerank ~visited ~space ~caps
     ~objective ~prepare_parent ~fold () =
   if batch < 1 then invalid_arg "Stochastic: batch must be >= 1";
   if start < 0 || start > budget then
@@ -610,10 +643,10 @@ let run_batched_filtered ?filter ?metrics ?(start = 0) ?(curve_init = [||])
     let built_fp =
       Parallel.Pool.map pool
         (fun (parent, task_rng) ->
-          let r = build_child ?filter space caps root parent task_rng in
+          let r = build_child ?filter space caps parent task_rng in
           let fp =
             match r with
-            | Ok (_, p) when want_fp -> Canon.fingerprint p
+            | Ok (_, p, _) when want_fp -> Canon.fingerprint p
             | Ok _ | Error _ -> ""
           in
           (r, fp))
@@ -685,7 +718,7 @@ let run_batched_filtered ?filter ?metrics ?(start = 0) ?(curve_init = [||])
           List.map
             (fun i ->
               match built.(i) with
-              | Ok (_, prog) -> (i, p.score prog)
+              | Ok (_, prog, _) -> (i, p.score prog)
               | Error _ -> assert false)
             reps
         in
@@ -720,7 +753,7 @@ let run_batched_filtered ?filter ?metrics ?(start = 0) ?(curve_init = [||])
         (fun i ->
           match built.(i) with
           | Error _ -> assert false
-          | Ok (_, prog) ->
+          | Ok (_, prog, _) ->
               let t0 = Obs.Span.now () in
               let r = Robust.Guard.eval ~cfg:guard objective prog in
               (r, Float.max 0. (Obs.Span.now () -. t0)))
@@ -751,7 +784,7 @@ let run_batched_filtered ?filter ?metrics ?(start = 0) ?(curve_init = [||])
       let outcome =
         match built.(i) with
         | Error f -> Failed f
-        | Ok (moves, prog) -> (
+        | Ok (moves, prog, trail) -> (
             if visited_rep.(rep_of.(i)) then begin
               incr n_visited;
               if traced then
@@ -784,7 +817,8 @@ let run_batched_filtered ?filter ?metrics ?(start = 0) ?(curve_init = [||])
                 end
                 else incr n_deduped;
                 Evaluated
-                  { moves; prog; runtime; parent_runtime = parent.runtime })
+                  { moves; prog; trail; runtime;
+                    parent_runtime = parent.runtime })
       in
       curve.(slot) <- fold slot parent outcome
     done;
@@ -830,8 +864,8 @@ let make_visited ~visited_dedup root warm =
 
    Floats (runtimes can be +inf for quarantined slots) cross the file
    boundary as IEEE-754 bit patterns ({!Recover.Bits}); candidate
-   programs are not serialized — they rebuild via [replay_skipping]
-   from the root, which costs transform replays but zero simulator
+   programs and trails are not serialized — they rebuild by replay from
+   the root, which costs transform replays but zero simulator
    evaluations. *)
 
 type checkpoint_cfg = { path : string; every : int; resume : bool }
@@ -994,24 +1028,19 @@ let load_stochastic_resume checkpoint ~meth ~space ~seed ~budget ~batch =
   | _ -> None
 
 (* Rebuild a candidate from its serialized (moves, runtime,
-   parent_runtime): the program replays from the root through the same
-   [filter] the original run used — transform replays only, no
-   simulator evaluations (this is what makes resume strictly cheaper
-   than a cold restart). *)
+   parent_runtime): the program and its trail replay from the root
+   through the same [filter] the original run used — transform replays
+   only, no simulator evaluations (this is what makes resume strictly
+   cheaper than a cold restart). *)
 let cand_of_triple ?filter caps root (moves, runtime, parent_runtime) =
-  let prog =
-    if moves = [] then root else fst (replay_skipping ?filter caps root moves)
-  in
-  { moves; prog; runtime; parent_runtime }
+  let _, prog, trail = from_root ?filter caps root moves in
+  { moves; prog; trail; runtime; parent_runtime }
 
 (* Rebuild the candidate pool with its exact selection weights (a
    quarantined entry keeps weight 0, the root its 1/root_time, etc.) so
    the first resumed parent draw matches the uninterrupted run's. *)
 let pool_of_state ?filter caps root entries =
-  let dummy =
-    { moves = []; prog = root; runtime = infinity; parent_runtime = infinity }
-  in
-  let pool = Util.Dynarray.create ~capacity:64 dummy in
+  let pool = Util.Dynarray.create ~capacity:64 (root_candidate root infinity) in
   let weights = Util.Dynarray.create ~capacity:64 0.0 in
   let push_weighted w c =
     Util.Dynarray.push pool c;
@@ -1135,10 +1164,7 @@ let random_sampling_parallel ?(seed = 1) ?filter ?(init = [])
            model seeding) runs exactly as in earlier releases *)
         let rng = Util.Rng.create seed in
         let root_time = guarded_root ~guard ~note objective root in
-        let root_cand =
-          { moves = []; prog = root; runtime = root_time;
-            parent_runtime = root_time }
-        in
+        let root_cand = root_candidate root root_time in
         emit_start obs ~meth ~space ~budget ~seed ~root_time;
         let warm =
           guarded_warm ~guard ~note ?filter caps objective root ~root_time
@@ -1264,7 +1290,7 @@ let random_sampling_parallel ?(seed = 1) ?filter ?(init = [])
       let curve, evals, skipped, deduped, visited =
         run_batched_filtered ?filter ?metrics ~start ~curve_init
           ~counters_init ~round_end ~obs ~batch ~pool ~budget ~guard ~dedup
-          ~prerank ~visited ~space ~caps ~root ~objective ~prepare_parent
+          ~prerank ~visited ~space ~caps ~objective ~prepare_parent
           ~fold ()
       in
       {
@@ -1307,10 +1333,7 @@ let simulated_annealing_parallel ?(seed = 1) ?filter ?(init = [])
     | None ->
         let rng = Util.Rng.create seed in
         let root_time = guarded_root ~guard ~note objective root in
-        let root_cand =
-          { moves = []; prog = root; runtime = root_time;
-            parent_runtime = root_time }
-        in
+        let root_cand = root_candidate root root_time in
         emit_start obs ~meth ~space ~budget ~seed ~root_time;
         let warm =
           guarded_warm ~guard ~note ?filter caps objective root ~root_time
@@ -1480,7 +1503,7 @@ let simulated_annealing_parallel ?(seed = 1) ?filter ?(init = [])
       let curve, evals, skipped, deduped, visited =
         run_batched_filtered ?filter ?metrics ~start ~curve_init
           ~counters_init ~round_end ~obs ~batch ~pool ~budget ~guard ~dedup
-          ~prerank ~visited ~space ~caps ~root ~objective ~prepare_parent
+          ~prerank ~visited ~space ~caps ~objective ~prepare_parent
           ~fold ()
       in
       {
@@ -1507,10 +1530,7 @@ let simulated_annealing ?(seed = 1) ?filter ?(init = [])
   let rng = Util.Rng.create seed in
   let failures, note = make_noter ?metrics obs in
   let root_time = guarded_root ~guard ~note objective root in
-  let root_cand =
-    { moves = []; prog = root; runtime = root_time;
-      parent_runtime = root_time }
-  in
+  let root_cand = root_candidate root root_time in
   emit_start obs ~meth:"simulated-annealing" ~space ~budget ~seed
     ~root_time;
   let current =

@@ -93,17 +93,9 @@ val replay_skipping :
   Ir.Prog.t * string list
 (** Replay a sequence of {!Transform.Xforms.describe} strings from a
     root, skipping entries not applicable at their point; returns the
-    final program and the names that actually applied. *)
-
-val mutate :
-  ?filter:(Transform.Xforms.instance -> bool) ->
-  Transform.Xforms.caps ->
-  Util.Rng.t ->
-  Ir.Prog.t ->
-  string list ->
-  string list
-(** One structural mutation of a move sequence (replace / delete /
-    insert at a random point). *)
+    final program and the names that actually applied.  Each step
+    resolves its name with {!Transform.Xforms.resolve}, so it runs one
+    finder, not the whole action set. *)
 
 (** {2 Fault tolerance}
 

@@ -13,10 +13,11 @@ type composite = {
 (* ------------------------------------------------------------------ *)
 
 (* Composites expand against the atomic action set only (never against
-   caps.extra), so a macro-move can never contain another macro-move. *)
+   caps.extra, which is cleared before resolving), so a macro-move can
+   never contain another macro-move. *)
 let find_atomic caps prog (m : Moveref.t) : (Xforms.instance, string) result =
   let d = Moveref.describe m in
-  match Xforms.lookup (Xforms.atomics caps prog) d with
+  match Xforms.resolve (Xforms.with_extra (fun _ -> []) caps) prog d with
   | Some i -> Ok i
   | None -> Error (d ^ ": not applicable here")
 

@@ -15,7 +15,7 @@ type instance = {
   apply : Ir.Prog.t -> Ir.Prog.t;
 }
 
-let describe i = Printf.sprintf "%s(%s)" i.xname i.target
+let describe i = String.concat "" [ i.xname; "("; i.target; ")" ]
 
 (* Applying a stale instance (the location no longer matches after the
    program changed underneath it) raises [Not_applicable] — distinct
@@ -27,8 +27,9 @@ exception Not_applicable of string
 let not_applicable msg = raise (Not_applicable msg)
 
 (* Resolve [describe] strings against an instance list through a hash
-   table built once — replaces the per-name linear scans (with repeated
-   [describe] calls) in Engine.replay_compat / Stochastic.replay_skipping.
+   table built once — the fast path when many names are looked up in the
+   same offered list (Engine.replay_compat, Script).  Replaying a move
+   sequence, where each step sees a new state, goes through [resolve].
    First occurrence wins, matching List.find_opt. *)
 let lookup ?(filter = fun (_ : instance) -> true) (insts : instance list) :
     string -> instance option =
@@ -1076,30 +1077,56 @@ let find_split_reduction (caps : caps) (prog : Ir.Prog.t) : instance list =
 (* Aggregation                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* One (xname, finder) table: [atomics] concatenates it in this order
+   (the order recorded schedules and RNG draws depend on), and [resolve]
+   picks one finder from it by name.  Each finder emits instances of its
+   own [xname] only. *)
+let finders : (string * (caps -> Ir.Prog.t -> instance list)) list =
+  [
+    ("split_scope", find_split);
+    ("join_scopes", fun _ -> find_join);
+    ("fission", fun _ -> find_fission);
+    ("interchange", fun _ -> find_interchange);
+    ("reorder", fun _ -> find_reorder);
+    ("unroll", find_unroll);
+    ("vectorize", find_vectorize);
+    ("parallelize", find_parallelize);
+    ("gpu_map", find_gpu_map);
+    ("pad_scope", find_pad);
+    ("unannotate", fun _ -> find_unannotate);
+    ("reuse_dims", fun _ -> find_reuse_dims);
+    ("set_storage", find_set_storage);
+    ("reorder_buffer_dims", fun _ -> find_reorder_dims);
+    ("split_reduction", find_split_reduction);
+    ("enable_ssr", find_ssr);
+    ("enable_frep", find_frep);
+  ]
+
 let atomics (caps : caps) (prog : Ir.Prog.t) : instance list =
-  List.concat
-    [
-      find_split caps prog;
-      find_join prog;
-      find_fission prog;
-      find_interchange prog;
-      find_reorder prog;
-      find_unroll caps prog;
-      find_vectorize caps prog;
-      find_parallelize caps prog;
-      find_gpu_map caps prog;
-      find_pad caps prog;
-      find_unannotate prog;
-      find_reuse_dims prog;
-      find_set_storage caps prog;
-      find_reorder_dims prog;
-      find_split_reduction caps prog;
-      find_ssr caps prog;
-      find_frep caps prog;
-    ]
+  List.concat_map (fun (_, find) -> find caps prog) finders
 
 (* The action set of the game: atomic instances plus whatever macro-moves
    the capabilities carry (appended last so atomic enumeration order — and
    hence recorded schedules — is unchanged when no composites are on). *)
 let all (caps : caps) (prog : Ir.Prog.t) : instance list =
   match caps.extra prog with [] -> atomics caps prog | m -> atomics caps prog @ m
+
+(* Name-directed resolution: equal to [lookup ?filter (all caps prog)
+   name] but runs one finder instead of all of them.  Every [describe]
+   is its [xname] followed by '(', so the text before the first '(' names
+   the only finder whose instances can match; a name no atomic finder
+   owns can only come from [caps.extra], which is also the fallback when
+   the finder offers no match (atomics precede macro-moves in [all]). *)
+let resolve ?(filter = fun (_ : instance) -> true) caps prog name =
+  let matching = List.find_opt (fun i -> filter i && describe i = name) in
+  let xname =
+    match String.index_opt name '(' with
+    | Some k -> String.sub name 0 k
+    | None -> name
+  in
+  let atomic =
+    match List.assoc_opt xname finders with
+    | Some find -> matching (find caps prog)
+    | None -> None
+  in
+  match atomic with Some _ -> atomic | None -> matching (caps.extra prog)

@@ -30,8 +30,9 @@ val lookup :
   ?filter:(instance -> bool) -> instance list -> string -> instance option
 (** [lookup insts] builds (lazily, once) a {!describe} [->] instance
     hash table over [insts] and returns the lookup function — the fast
-    path for replaying recorded move names.  First occurrence wins, as
-    with [List.find_opt]. *)
+    path for resolving many names against one offered list.  First
+    occurrence wins, as with [List.find_opt].  To resolve one name
+    against a program state, use {!resolve}. *)
 
 (** Hardware capabilities gate which transformations are offered: the
     paper's "hardware knowledge exposed to the search only as a library
@@ -70,6 +71,19 @@ val all : caps -> Ir.Prog.t -> instance list
 val atomics : caps -> Ir.Prog.t -> instance list
 (** {!all} without the [extra] hook — what composite expansion
     enumerates against so macro-moves never contain macro-moves. *)
+
+val resolve :
+  ?filter:(instance -> bool) -> caps -> Ir.Prog.t -> string -> instance option
+(** [resolve ?filter caps prog name] is [lookup ?filter (all caps prog)
+    name], computed by name: the text of [name] before its first ['(']
+    selects the one transformation whose finder can offer it, and only
+    that finder runs; the first instance in finder order whose
+    {!describe} equals [name] and that passes [filter] wins.  When that
+    finder offers no match, or no atomic transformation has that name,
+    the [caps.extra] macro-moves are searched instead.  Atomic and
+    resolved enumeration share one finder table, so they cannot drift
+    apart.  This is the per-step resolution of every move-sequence
+    replay: each step costs one finder instead of all of them. *)
 
 (** {1 Individual transformations}
 

@@ -1,0 +1,139 @@
+(* The stochastic-search trajectories pinned by search_golden.txt.
+
+   Each case runs one engine on a kernel's small root and renders its
+   result as one line: the best runtime's IEEE-754 bits, the exact
+   accounting, the MD5 of the best-so-far curve's bits and the winning
+   move sequence.  Any change to a trajectory — an RNG draw, an
+   instance order, a replayed program — changes some line, so the file
+   holds the search engines to byte-identical behaviour across internal
+   rewrites.  gen_search_golden.exe writes the file; test_search checks
+   every line against a fresh run. *)
+
+module S = Search.Stochastic
+
+let budget = 40
+let target name = List.assoc name Machine.Desc.known_targets
+
+(* One root per hardware family, each under its target's caps. *)
+let roots =
+  [
+    ("x86", Kernels.find_entry Kernels.table3 "softmax");
+    ("snitch", Kernels.find_entry Kernels.snitch_micro "gemv");
+    ("gh200", Kernels.find_entry Kernels.table3 "rmsnorm");
+  ]
+
+type meth = Sampling | Annealing
+
+type engine =
+  | Sequential
+  | Batched of int  (** batched-synchronous engine at this many jobs *)
+  | Filtered
+      (** batched at jobs 1 with a surrogate at filter 0.25 and the
+          canonical visited set *)
+
+let engine_name = function
+  | Sequential -> "seq"
+  | Batched j -> Printf.sprintf "batched-j%d" j
+  | Filtered -> "surrogate-visited"
+
+let run ?(init = []) ~engine ~meth ~space ~seed caps tname root =
+  let objective = Machine.time (target tname) in
+  let batched ?prerank ?(dedup = false) ?(visited_dedup = false) jobs =
+    Parallel.Pool.with_pool ~jobs (fun pool ->
+        match meth with
+        | Sampling ->
+            S.random_sampling_parallel ~seed ~init ?prerank ~dedup
+              ~visited_dedup ~pool ~space ~budget caps objective root
+        | Annealing ->
+            S.simulated_annealing_parallel ~seed ~init ?prerank ~dedup
+              ~visited_dedup ~pool ~space ~budget caps objective root)
+  in
+  match engine with
+  | Sequential -> (
+      match meth with
+      | Sampling ->
+          S.random_sampling ~seed ~init ~space ~budget caps objective root
+      | Annealing ->
+          S.simulated_annealing ~seed ~init ~space ~budget caps objective root)
+  | Batched jobs -> batched jobs
+  | Filtered ->
+      let prerank =
+        Surrogate.Model.prerank ~filter_ratio:0.25 ~group:"golden"
+          (Surrogate.Model.create ())
+      in
+      batched ~prerank ~dedup:true ~visited_dedup:true 1
+
+let bits f = Printf.sprintf "%Lx" (Int64.bits_of_float f)
+
+let render label (r : S.result) =
+  let curve =
+    Array.to_list (Array.map bits r.curve)
+    |> String.concat "," |> Digest.string |> Digest.to_hex
+  in
+  Printf.sprintf
+    "%s | time=%s evals=%d skipped=%d deduped=%d visited=%d failures=%d \
+     curve=%s | %s"
+    label (bits r.best_time) r.evals r.skipped r.deduped r.visited r.failures
+    curve
+    (String.concat "; " r.best_moves)
+
+(* Every case as (label, rendered line), in file order. *)
+let cases () =
+  let seed = ref 0 in
+  let matrix =
+    List.concat_map
+      (fun (tname, (e : Kernels.entry)) ->
+        let caps = Machine.caps (target tname) in
+        let root = e.build_small () in
+        List.concat_map
+          (fun (space, sname) ->
+            List.concat_map
+              (fun (meth, mname) ->
+                (* one seed per group: batched-j1 and batched-j4 lines
+                   must agree on everything but their label *)
+                incr seed;
+                List.map
+                  (fun engine ->
+                    let label =
+                      Printf.sprintf "%s %s %s %s %s seed%d" e.label tname
+                        sname mname (engine_name engine) !seed
+                    in
+                    let r =
+                      run ~engine ~meth ~space ~seed:!seed caps tname root
+                    in
+                    (label, render label r))
+                  [ Sequential; Batched 1; Batched 4; Filtered ])
+              [ (Sampling, "sampling"); (Annealing, "annealing") ])
+          [ (S.Edges, "edges"); (S.Heuristic, "heuristic") ])
+      roots
+  in
+  let softmax = (Kernels.find_entry Kernels.table3 "softmax").build_small () in
+  let x86 = Machine.caps (target "x86") in
+  (* warm start: resume from an earlier case's winner *)
+  let warm =
+    let init =
+      (run ~engine:Sequential ~meth:Annealing ~space:S.Heuristic ~seed:7 x86
+         "x86" softmax)
+        .best_moves
+    in
+    let label = "softmax x86 heuristic annealing batched-j1 warm-start seed8" in
+    ( label,
+      render label
+        (run ~init ~engine:(Batched 1) ~meth:Annealing ~space:S.Heuristic
+           ~seed:8 x86 "x86" softmax) )
+  in
+  (* composite macro-moves in the action set *)
+  let composites =
+    let caps = Transfo.Composites.enable ~names:[ "all" ] x86 in
+    let label = "softmax x86+composites heuristic annealing seq seed9" in
+    ( label,
+      render label
+        (run ~engine:Sequential ~meth:Annealing ~space:S.Heuristic ~seed:9 caps
+           "x86" softmax) )
+  in
+  matrix @ [ warm; composites ]
+
+let header =
+  "# Golden stochastic-search trajectories.\n\
+   # One line per case: label | best-time bits, accounting, MD5 of the\n\
+   # curve's bits | best moves.  Written by test/gen_search_golden.exe.\n"

@@ -186,6 +186,23 @@ let mutation_tests =
         Ir.Validate.check_exn final);
   ]
 
+(* search_golden.txt (written by gen_search_golden.exe) pins every
+   engine's trajectory: best time bits, accounting, curve digest and
+   best moves must reproduce byte for byte. *)
+let golden_tests =
+  [
+    Alcotest.test_case "trajectories match the golden file" `Quick (fun () ->
+        let recorded =
+          In_channel.with_open_text "search_golden.txt" In_channel.input_all
+          |> String.split_on_char '\n'
+          |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+        in
+        let fresh = List.map snd (Search_golden.cases ()) in
+        Alcotest.(check int)
+          "case count" (List.length recorded) (List.length fresh);
+        List.iter2 (Alcotest.(check string) "trajectory") recorded fresh);
+  ]
+
 (* Batched-parallel search: the contract is that the trajectory depends
    on (seed, batch) but never on how many domains evaluate it. *)
 let parallel_search_tests =
@@ -479,6 +496,7 @@ let () =
       ("improvements", improvement_tests);
       ("stochastic", stochastic_tests);
       ("mutation", mutation_tests);
+      ("golden", golden_tests);
       ("parallel-search", parallel_search_tests);
       ("exhaustive", exhaustive_tests);
       ("visited-dedup", visited_dedup_tests);

@@ -67,6 +67,59 @@ let qcheck_random_walk caps cname =
       Ir.Validate.is_valid !p
       && Interp.equivalent ~tol:1e-4 p0 !p = Ok ())
 
+(* Name-directed resolution is an optimization of the table lookup over
+   the whole action set and must agree with it everywhere along random
+   walks: on every offered name, on names offered at other states of the
+   walk (stale), and on junk — by [describe] and by the applied
+   program's printed text, with and without a filter. *)
+let qcheck_resolve ~count caps cname =
+  let entries = Array.of_list (Kernels.table3 @ Kernels.snitch_micro) in
+  let junk =
+    [ ""; "("; "bogus(move)"; "split_scope"; "split_scope("; "reorder([0])";
+      "composite(nothing @ [0])"; "set_storage(x -> heap)" ]
+  in
+  let some_filter (i : Xforms.instance) =
+    Hashtbl.hash (Xforms.describe i) mod 3 <> 0
+  in
+  let outcome p = function
+    | None -> None
+    | Some (i : Xforms.instance) ->
+        Some
+          ( Xforms.describe i,
+            match i.apply p with
+            | q -> Ir.Printer.program q
+            | exception e -> Printexc.to_string e )
+  in
+  (* every name checked at [p], against one table per filter *)
+  let agree_at p insts names =
+    List.for_all
+      (fun filter ->
+        let table = Xforms.lookup ?filter insts in
+        List.for_all
+          (fun name ->
+            outcome p (Xforms.resolve ?filter caps p name)
+            = outcome p (table name))
+          names)
+      [ None; Some some_filter ]
+  in
+  QCheck.Test.make ~count
+    ~name:(Printf.sprintf "resolve agrees with lookup over all (%s)" cname)
+    QCheck.(pair (int_bound (Array.length entries - 1)) small_int)
+    (fun (kidx, seed) ->
+      let rng = Util.Rng.create (seed + 1) in
+      let rec walk p stale k =
+        let insts = Xforms.all caps p in
+        let offered =
+          List.sort_uniq compare (List.map Xforms.describe insts)
+        in
+        agree_at p insts (offered @ stale @ junk)
+        && (k = 0 || insts = []
+           ||
+           let i = List.nth insts (Util.Rng.int rng (List.length insts)) in
+           walk (i.apply p) offered (k - 1))
+      in
+      walk (entries.(kidx).Kernels.build_small ()) [] (Util.Rng.int rng 9))
+
 (* -------------------------------------------------------------------- *)
 (* Targeted behaviour tests                                              *)
 (* -------------------------------------------------------------------- *)
@@ -537,5 +590,17 @@ let () =
           QCheck_alcotest.to_alcotest (qcheck_random_walk caps_cpu "cpu");
           QCheck_alcotest.to_alcotest (qcheck_random_walk caps_gpu "gpu");
           QCheck_alcotest.to_alcotest (qcheck_random_walk caps_snitch "snitch");
+          QCheck_alcotest.to_alcotest
+            (qcheck_resolve ~count:20 caps_cpu "cpu");
+          QCheck_alcotest.to_alcotest
+            (qcheck_resolve ~count:20 caps_snitch "snitch");
+          QCheck_alcotest.to_alcotest
+            (qcheck_resolve ~count:20 caps_gpu "gpu");
+          (* each composite name re-enumerates the macro-moves: fewer
+             walks keep the suite quick *)
+          QCheck_alcotest.to_alcotest
+            (qcheck_resolve ~count:3
+               (Transfo.Composites.enable ~names:[ "all" ] caps_cpu)
+               "composites all");
         ] );
     ]
