@@ -63,6 +63,12 @@ let run_framework_microbench () =
         | Ok t -> t
         | Error e -> failwith ("framework: split_reduce_unroll: " ^ e))
   in
+  (* a fixed-seed heuristic annealing run: every child is one draw at
+     a trail state plus a suffix replay, so the draw path is timed *)
+  let x86 = List.assoc "x86" Machine.Desc.known_targets in
+  let softmax_root =
+    (Kernels.find_entry Kernels.table3 "softmax").build_small ()
+  in
   let tests =
     [
       Test.make ~name:"printer.softmax" (Staged.stage (fun () ->
@@ -100,6 +106,14 @@ let run_framework_microbench () =
                (Kernels.gemv ~m:64 ~n:64))));
       Test.make ~name:"embed.softmax" (Staged.stage (fun () ->
           ignore (Rl.Embed.embed softmax)));
+      Test.make ~name:"surrogate.features.softmax" (Staged.stage (fun () ->
+          ignore (Surrogate.Features.extract softmax)));
+      Test.make ~name:"search.anneal.heuristic.softmax"
+        (Staged.stage (fun () ->
+             ignore
+               (Search.Stochastic.simulated_annealing ~seed:1
+                  ~space:Search.Stochastic.Heuristic ~budget:40
+                  (Machine.caps x86) (Machine.time x86) softmax_root)));
       Test.make ~name:"gpu_model.mul" (Staged.stage (fun () ->
           ignore
             (Machine.Gpu_model.time Machine.Desc.gh200

@@ -12,29 +12,26 @@ let ngram_dims = 48
 let struct_dims = 16
 let dim = ngram_dims + struct_dims
 
-(* FNV-1a, 64-bit, deterministic across runs. *)
-let fnv1a (s : string) : int64 =
-  let open Int64 in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := logxor !h (of_int (Char.code c));
-      h := mul !h 0x100000001b3L)
-    s;
-  !h
-
-let bucket_of h m =
-  Int64.to_int (Int64.rem (Int64.logand h Int64.max_int) (Int64.of_int m))
-
 let embed (prog : Ir.Prog.t) : float array =
   let v = Array.make dim 0.0 in
   let text = Ir.Printer.program prog in
-  (* hashed 3-grams with a sign hash (feature hashing) *)
+  (* hashed 3-grams with a sign hash (feature hashing): 64-bit FNV-1a
+     over the three bytes at [i], hashed in place so no 3-gram is ever
+     copied out of [text].  The bound [n - 4] skips the final 3-gram;
+     it is pinned as it is, because every feature vector — and so every
+     surrogate ranking and recorded trajectory — depends on it. *)
   let n = String.length text in
+  let byte h j =
+    Int64.mul
+      (Int64.logxor h (Int64.of_int (Char.code (String.unsafe_get text j))))
+      0x100000001b3L
+  in
   for i = 0 to n - 4 do
-    let g = String.sub text i 3 in
-    let h = fnv1a g in
-    let b = bucket_of h ngram_dims in
+    let h = byte (byte (byte 0xcbf29ce484222325L i) (i + 1)) (i + 2) in
+    let b =
+      Int64.to_int
+        (Int64.rem (Int64.logand h Int64.max_int) (Int64.of_int ngram_dims))
+    in
     let sign = if Int64.logand h 1L = 1L then 1.0 else -1.0 in
     v.(b) <- v.(b) +. sign
   done;

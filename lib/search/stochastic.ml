@@ -73,24 +73,50 @@ let replay_skipping ?filter caps prog names =
   let p, applied, _ = replay_states ?filter caps prog names in
   (p, List.rev applied)
 
+(* One state along a candidate's trail, with the moves a draw picks
+   from there: [offers] is [Xforms.all] under the search's filter, as an
+   array, filled on the first draw at this state and read by every later
+   one.  A child's trail shares its parent's prefix nodes, so every
+   mutation at a shared state — annealing branches a whole round of
+   proposals off one current candidate — reuses one enumeration.  An
+   [Atomic], not a [Lazy]: the batched build phase reads parents from
+   several domains, and forcing one [Lazy] from two domains raises,
+   while two domains filling the same slot compute equal arrays, so a
+   race only wastes work. *)
+type node = {
+  state : Ir.Prog.t;
+  offers : Xforms.instance array option Atomic.t;
+}
+
+let node state = { state; offers = Atomic.make None }
+
+let offers ?(filter = fun (_ : Xforms.instance) -> true) caps n =
+  match Atomic.get n.offers with
+  | Some insts -> insts
+  | None ->
+      let insts =
+        Array.of_list (List.filter filter (Xforms.all caps n.state))
+      in
+      Atomic.set n.offers (Some insts);
+      insts
+
 type candidate = {
   moves : string list;
   prog : Ir.Prog.t;
-  trail : Ir.Prog.t array;
+  trail : node array;
       (* the state after each prefix of [moves], root first:
          [trail.(i)] is the program after the first [i] moves, so
          [trail.(0)] is the root and the last entry is [prog].  A
-         heuristic mutation reads its mutation point here instead of
-         replaying the prefix, and the child's replay resumes from it.
-         Fully built (no [Lazy]) because the batched build phase reads
-         parents from several domains; never serialized — resume
-         rebuilds it by replay, like [prog]. *)
+         heuristic mutation reads its mutation point and that point's
+         offers here instead of replaying the prefix, and the child's
+         replay resumes from it.  Never serialized — resume rebuilds
+         it by replay, like [prog], with empty offers. *)
   runtime : float;
   parent_runtime : float;
 }
 
 let root_candidate root runtime =
-  { moves = []; prog = root; trail = [| root |]; runtime;
+  { moves = []; prog = root; trail = [| node root |]; runtime;
     parent_runtime = runtime }
 
 (* The first [pos] of [moves] followed by [suffix] replayed from
@@ -99,30 +125,31 @@ let root_candidate root runtime =
    would rebuild exactly the same prefix states, since [moves] holds
    only names that applied. *)
 let extend ?filter caps (moves, trail) pos suffix =
-  let p, applied, states = replay_states ?filter caps trail.(pos) suffix in
+  let p, applied, states =
+    replay_states ?filter caps trail.(pos).state suffix
+  in
   ( List.filteri (fun i _ -> i < pos) moves @ List.rev applied,
     p,
-    Array.append (Array.sub trail 0 (pos + 1)) (Array.of_list (List.rev states))
-  )
+    Array.append (Array.sub trail 0 (pos + 1))
+      (Array.of_list (List.rev_map node states)) )
 
 let from_root ?filter caps root names =
-  extend ?filter caps ([], [| root |]) 0 names
+  extend ?filter caps ([], [| node root |]) 0 names
 
 (* One structural mutation of [parent]'s move sequence (replace / delete
    / insert a move at a random point [pos]), as [pos] and the moves that
-   follow the parent's first [pos] in the child.  The state at [pos] is
-   read from the parent's trail. *)
-let mutate ?(filter = fun (_ : Xforms.instance) -> true) caps rng
-    (parent : candidate) : int * string list =
+   follow the parent's first [pos] in the child.  The state at [pos]
+   and the moves offered there are read from the parent's trail. *)
+let mutate ?filter caps rng (parent : candidate) : int * string list =
   let n = List.length parent.moves in
   let from k = List.filteri (fun i _ -> i >= k) parent.moves in
   (* a random move applicable at [pos], in front of [rest]; with none
      applicable the sequence stays as it was *)
   let draw pos rest =
-    match List.filter filter (Xforms.all caps parent.trail.(pos)) with
-    | [] -> (pos, from pos)
+    match offers ?filter caps parent.trail.(pos) with
+    | [||] -> (pos, from pos)
     | insts ->
-        let inst = List.nth insts (Util.Rng.int rng (List.length insts)) in
+        let inst = insts.(Util.Rng.int rng (Array.length insts)) in
         (pos, Xforms.describe inst :: rest)
   in
   let choice = Util.Rng.int rng 3 in
@@ -227,26 +254,25 @@ let note_step ?metrics ?accepted ?temp ~runtime () =
    followed by [suffix] ([Resume]); [grow] replays the suffix from the
    parent's trail, inside the guard. *)
 type growth =
-  | Grown of string list * Ir.Prog.t * Ir.Prog.t array
+  | Grown of string list * Ir.Prog.t * node array
   | Resume of int * string list
 
-let expand ?(filter = fun (_ : Xforms.instance) -> true) space caps rng
-    (parent : candidate) : growth =
+let expand ?filter space caps rng (parent : candidate) : growth =
   match space with
   | Edges -> (
-      (* append one applicable move *)
-      let insts = List.filter filter (Xforms.all caps parent.prog) in
-      match insts with
-      | [] -> Grown (parent.moves, parent.prog, parent.trail)
-      | _ ->
-          let inst = List.nth insts (Util.Rng.int rng (List.length insts)) in
+      (* append one move offered at the parent's last state, [prog] *)
+      let last = parent.trail.(Array.length parent.trail - 1) in
+      match offers ?filter caps last with
+      | [||] -> Grown (parent.moves, parent.prog, parent.trail)
+      | insts ->
+          let inst = insts.(Util.Rng.int rng (Array.length insts)) in
           let p = inst.apply parent.prog in
           Grown
             ( parent.moves @ [ Xforms.describe inst ],
               p,
-              Array.append parent.trail [| p |] ))
+              Array.append parent.trail [| node p |] ))
   | Heuristic ->
-      let pos, suffix = mutate ~filter caps rng parent in
+      let pos, suffix = mutate ?filter caps rng parent in
       Resume (pos, suffix)
 
 let grow ?filter caps (parent : candidate) = function
@@ -576,7 +602,7 @@ type slot_outcome =
    for dedup/ranking.  Exceptions from a transform or replay classify
    exactly like they did under the guard. *)
 let build_child ?filter space caps (parent : candidate) task_rng :
-    (string list * Ir.Prog.t * Ir.Prog.t array, Robust.Guard.failure)
+    (string list * Ir.Prog.t * node array, Robust.Guard.failure)
     Stdlib.result =
   match
     grow ?filter caps parent (expand ?filter space caps task_rng parent)

@@ -36,25 +36,27 @@ let engine_name = function
   | Batched j -> Printf.sprintf "batched-j%d" j
   | Filtered -> "surrogate-visited"
 
-let run ?(init = []) ~engine ~meth ~space ~seed caps tname root =
+let run ?(init = []) ?filter ~engine ~meth ~space ~seed caps tname root =
   let objective = Machine.time (target tname) in
   let batched ?prerank ?(dedup = false) ?(visited_dedup = false) jobs =
     Parallel.Pool.with_pool ~jobs (fun pool ->
         match meth with
         | Sampling ->
-            S.random_sampling_parallel ~seed ~init ?prerank ~dedup
+            S.random_sampling_parallel ~seed ~init ?filter ?prerank ~dedup
               ~visited_dedup ~pool ~space ~budget caps objective root
         | Annealing ->
-            S.simulated_annealing_parallel ~seed ~init ?prerank ~dedup
+            S.simulated_annealing_parallel ~seed ~init ?filter ?prerank ~dedup
               ~visited_dedup ~pool ~space ~budget caps objective root)
   in
   match engine with
   | Sequential -> (
       match meth with
       | Sampling ->
-          S.random_sampling ~seed ~init ~space ~budget caps objective root
+          S.random_sampling ~seed ~init ?filter ~space ~budget caps objective
+            root
       | Annealing ->
-          S.simulated_annealing ~seed ~init ~space ~budget caps objective root)
+          S.simulated_annealing ~seed ~init ?filter ~space ~budget caps
+            objective root)
   | Batched jobs -> batched jobs
   | Filtered ->
       let prerank =
@@ -131,7 +133,30 @@ let cases () =
         (run ~engine:Sequential ~meth:Annealing ~space:S.Heuristic ~seed:9 caps
            "x86" softmax) )
   in
-  matrix @ [ warm; composites ]
+  (* an instance filter that rejects every unroll: the offers a draw
+     picks from are the filtered ones *)
+  let no_unroll =
+    let filter (i : Transform.Xforms.instance) =
+      not (String.starts_with ~prefix:"unroll(" (Transform.Xforms.describe i))
+    in
+    List.concat_map
+      (fun (space, sname, meth, mname, seed) ->
+        List.map
+          (fun engine ->
+            let label =
+              Printf.sprintf "softmax x86 no-unroll %s %s %s seed%d" sname
+                mname (engine_name engine) seed
+            in
+            ( label,
+              render label
+                (run ~filter ~engine ~meth ~space ~seed x86 "x86" softmax) ))
+          [ Sequential; Batched 4 ])
+      [
+        (S.Edges, "edges", Sampling, "sampling", 10);
+        (S.Heuristic, "heuristic", Annealing, "annealing", 11);
+      ]
+  in
+  matrix @ [ warm; composites ] @ no_unroll
 
 let header =
   "# Golden stochastic-search trajectories.\n\

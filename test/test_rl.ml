@@ -131,6 +131,115 @@ let embed_tests =
                                               Rl.Embed.dim));
   ]
 
+(* The n-gram block of [Rl.Embed.embed] as it was first written: one
+   [String.sub] per 3-gram hashed by FNV-1a over boxed [Int64], into a
+   signed bucket, then L2-normalized.  This copy is the reference the
+   embedding's inlined hashing must reproduce bit for bit: every
+   surrogate ranking and PerfLLM decision reads these features. *)
+let reference_ngrams text =
+  let fnv1a s =
+    let open Int64 in
+    let h = ref 0xcbf29ce484222325L in
+    String.iter
+      (fun c ->
+        h := logxor !h (of_int (Char.code c));
+        h := mul !h 0x100000001b3L)
+      s;
+    !h
+  in
+  let m = Rl.Embed.ngram_dims in
+  let v = Array.make m 0.0 in
+  let n = String.length text in
+  for i = 0 to n - 4 do
+    let h = fnv1a (String.sub text i 3) in
+    let b =
+      Int64.to_int (Int64.rem (Int64.logand h Int64.max_int) (Int64.of_int m))
+    in
+    v.(b) <- v.(b) +. (if Int64.logand h 1L = 1L then 1.0 else -1.0)
+  done;
+  let norm = ref 0.0 in
+  Array.iter (fun x -> norm := !norm +. (x *. x)) v;
+  let norm = sqrt (Float.max !norm 1e-12) in
+  Array.map (fun x -> x /. norm) v
+
+let float_bits a = Array.map Int64.bits_of_float a
+
+(* 0–8-move random walks from every kernel's small root under CPU,
+   Snitch and GPU caps; the n-gram block must equal the reference at
+   every state of the walk. *)
+let qcheck_ngrams =
+  let entries = Array.of_list (Kernels.table3 @ Kernels.snitch_micro) in
+  let caps =
+    Array.map
+      (fun t -> Machine.caps (List.assoc t Machine.Desc.known_targets))
+      [| "x86"; "snitch"; "gh200" |]
+  in
+  QCheck.Test.make ~count:180
+    ~name:"n-gram block matches the reference hashing"
+    QCheck.(
+      triple
+        (int_bound (Array.length entries - 1))
+        (int_bound (Array.length caps - 1))
+        small_int)
+    (fun (kidx, cidx, seed) ->
+      let caps = caps.(cidx) in
+      let rng = Util.Rng.create (seed + 1) in
+      let agrees p =
+        float_bits (Array.sub (Rl.Embed.embed p) 0 Rl.Embed.ngram_dims)
+        = float_bits (reference_ngrams (Ir.Printer.program p))
+      in
+      let rec walk p k =
+        agrees p
+        && (k = 0
+           ||
+           match Transform.Xforms.all caps p with
+           | [] -> true
+           | insts ->
+               let i = List.nth insts (Util.Rng.int rng (List.length insts)) in
+               walk (i.apply p) (k - 1))
+      in
+      walk (entries.(kidx).Kernels.build_small ()) (Util.Rng.int rng 9))
+
+(* The printed states of the canonical golden corpus (canon_golden.txt:
+   a '== LABEL FINGERPRINT' line, then the state's IR). *)
+let golden_states () =
+  let records = ref [] and cur = Buffer.create 256 in
+  let flush () =
+    if Buffer.length cur > 0 then records := Buffer.contents cur :: !records;
+    Buffer.clear cur
+  in
+  In_channel.with_open_text "canon_golden.txt" In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.iter (fun line ->
+         if String.starts_with ~prefix:"== " line then flush ()
+         else if line <> "" && line.[0] <> '#' then begin
+           Buffer.add_string cur line;
+           Buffer.add_char cur '\n'
+         end);
+  flush ();
+  List.rev_map Ir.Parser.program !records
+
+let embed_pin_tests =
+  [
+    QCheck_alcotest.to_alcotest qcheck_ngrams;
+    Alcotest.test_case "surrogate features of the golden corpus are pinned"
+      `Quick (fun () ->
+        let states = golden_states () in
+        Alcotest.(check int) "states" 168 (List.length states);
+        let bits =
+          List.concat_map
+            (fun p ->
+              Array.to_list
+                (Array.map
+                   (fun b -> Printf.sprintf "%Lx" b)
+                   (float_bits (Surrogate.Features.extract p))))
+            states
+        in
+        Alcotest.(check string) "md5 of the feature bits"
+          "9cba17ddf90b9786666130df8eff1d47"
+          (Digest.to_hex (Digest.string (String.concat "," bits))));
+  ]
+
 let replay_tests =
   [
     Alcotest.test_case "ring buffer overwrites oldest" `Quick (fun () ->
@@ -374,6 +483,7 @@ let () =
     [
       ("nn", nn_tests);
       ("embed", embed_tests);
+      ("embed-pin", embed_pin_tests);
       ("replay", replay_tests);
       ("dqn", dqn_tests);
       ("reinforce", reinforce_tests);
