@@ -958,7 +958,7 @@ let parallel () =
     Parallel.Pool.with_pool ~jobs (fun pool ->
         let t0 = Unix.gettimeofday () in
         let r =
-          Stoch.simulated_annealing_parallel ~seed:1 ~obs ~batch ~pool
+          Stoch.simulated_annealing ~seed:1 ~obs ~batch ~pool
             ~space:Stoch.Heuristic ~budget caps_x86 objective p
         in
         (r, Unix.gettimeofday () -. t0, obs))
@@ -1696,7 +1696,7 @@ let exhaustive () =
           failwith (label ^ ": canonical dedup found no duplicates");
         let stoch visited_dedup =
           Parallel.Pool.with_pool ~jobs:2 (fun pool ->
-              Stoch.simulated_annealing_parallel ~seed:5 ~visited_dedup
+              Stoch.simulated_annealing ~batch:8 ~seed:5 ~visited_dedup
                 ~pool ~space:Stoch.Heuristic ~budget caps (time target) p)
         in
         let plain = stoch false and dd = stoch true in
@@ -2067,10 +2067,10 @@ let crash () =
     Parallel.Pool.with_pool ~jobs (fun pool ->
         match meth with
         | `Sampling ->
-            Stoch.random_sampling_parallel ~seed:9 ~obs ~checkpoint ~pool
+            Stoch.random_sampling ~batch:8 ~seed:9 ~obs ~checkpoint ~pool
               ~space:Stoch.Heuristic ~budget caps_x86 objective root
         | `Annealing ->
-            Stoch.simulated_annealing_parallel ~seed:9 ~obs ~checkpoint
+            Stoch.simulated_annealing ~batch:8 ~seed:9 ~obs ~checkpoint
               ~pool ~space:Stoch.Heuristic ~budget caps_x86 objective root)
   in
   let stoch_json ?sim_calls (r : Stoch.result) =

@@ -390,16 +390,9 @@ let rec optimize_ctx ~(ctx : Ctx.t) (strategy : strategy) (target : target)
     | Some m -> Parallel.Pool.export pool m
     | None -> ()
   in
-  (* jobs = 0 (the default) is the sequential path, bit-identical to the
-     pre-parallel code; jobs >= 1 runs the batched-synchronous-parallel
-     search variants, whose trajectory depends on the batch size but not
-     on jobs (jobs = 1 and jobs = N give identical results). *)
-  (* Surrogate wiring: candidates are only batched — hence rankable and
-     dedupable — on the parallel path, so enabling either knob promotes
-     a sequential run to a jobs = 1 pool (the caller-participating pool:
-     no nested domains, safe inside portfolio/libgen workers).  The
-     training group tag scopes ranking pairs to this (target, root):
-     runtimes are only comparable within one such group. *)
+  (* Surrogate wiring: the training group tag scopes ranking pairs to
+     this (target, root): runtimes are only comparable within one such
+     group. *)
   let prerank =
     match surrogate with
     | None -> None
@@ -411,17 +404,28 @@ let rec optimize_ctx ~(ctx : Ctx.t) (strategy : strategy) (target : target)
         in
         Some (Surrogate.Model.prerank ~filter_ratio ~group m)
   in
-  (* the visited set needs the batched engine too, and it subsumes
-     intra-batch dedup (a state must never be measured twice, whether
-     its duplicate sits in the same round or an earlier one) *)
+  (* the visited set subsumes intra-batch dedup (a state must never be
+     measured twice, whether its duplicate sits in the same round or an
+     earlier one) *)
   let dedup = dedup || visited_dedup in
-  (* checkpointing lives in the batched engines (rounds are their unit
-     of determinism), so it promotes a sequential run to jobs = 1 *)
-  let batched =
-    jobs >= 1 || Option.is_some prerank || dedup || visited_dedup
-    || Option.is_some checkpoint_cfg
+  (* jobs = 0 (the default) searches one slot per round on the calling
+     thread: the classic sequential search.  jobs >= 1 searches rounds
+     of 8 slots on a pool of [jobs] domains, whose trajectory depends on
+     the batch size but not on jobs (jobs = 1 and jobs = N give
+     identical results).  Ranking and dedup work across a round's
+     candidates, so enabling either knob also selects rounds of 8, on a
+     jobs = 1 pool (the caller-participating pool: no nested domains,
+     safe inside portfolio/libgen workers). *)
+  let batched = jobs >= 1 || Option.is_some prerank || dedup in
+  let batch = if batched then 8 else 1 in
+  let with_search_pool f =
+    if not batched then f None
+    else
+      Parallel.Pool.with_pool ~instrument ~jobs:(max jobs 1) (fun pool ->
+          let r = f (Some pool) in
+          export_pool pool;
+          r)
   in
-  let pool_jobs = max jobs 1 in
   let base =
     Obs.Span.run ?metrics ~trace:obs "search" (fun () ->
         match strategy with
@@ -436,42 +440,22 @@ let rec optimize_ctx ~(ctx : Ctx.t) (strategy : strategy) (target : target)
             (s, guarded_time s, [], 1)
         | Sampling { budget; space } ->
             let r =
-              if batched then
-                Parallel.Pool.with_pool ~instrument ~jobs:pool_jobs
-                  (fun pool ->
-                    let r =
-                      Search.Stochastic.random_sampling_parallel ~seed
-                        ~init:warm_start ~obs ?metrics ~guard ?prerank
-                        ~dedup ~visited_dedup ?checkpoint:checkpoint_cfg
-                        ?snapshot_extra ?restore_extra ~pool ~space
-                        ~budget caps objective prog
-                    in
-                    export_pool pool;
-                    r)
-              else
-                Search.Stochastic.random_sampling ~seed ~init:warm_start
-                  ~obs ?metrics ~guard ~space ~budget caps objective prog
+              with_search_pool (fun pool ->
+                  Search.Stochastic.random_sampling ~seed ~init:warm_start
+                    ~obs ?metrics ~guard ?pool ~batch ?prerank ~dedup
+                    ~visited_dedup ?checkpoint:checkpoint_cfg ?snapshot_extra
+                    ?restore_extra ~space ~budget caps objective prog)
             in
             failures := !failures + r.failures;
             (r.best, r.best_time, r.best_moves, r.evals)
         | Annealing { budget; space } ->
             let r =
-              if batched then
-                Parallel.Pool.with_pool ~instrument ~jobs:pool_jobs
-                  (fun pool ->
-                    let r =
-                      Search.Stochastic.simulated_annealing_parallel ~seed
-                        ~init:warm_start ~obs ?metrics ~guard ?prerank
-                        ~dedup ~visited_dedup ?checkpoint:checkpoint_cfg
-                        ?snapshot_extra ?restore_extra ~pool ~space
-                        ~budget caps objective prog
-                    in
-                    export_pool pool;
-                    r)
-              else
-                Search.Stochastic.simulated_annealing ~seed
-                  ~init:warm_start ~obs ?metrics ~guard ~space ~budget caps
-                  objective prog
+              with_search_pool (fun pool ->
+                  Search.Stochastic.simulated_annealing ~seed
+                    ~init:warm_start ~obs ?metrics ~guard ?pool ~batch
+                    ?prerank ~dedup ~visited_dedup ?checkpoint:checkpoint_cfg
+                    ?snapshot_extra ?restore_extra ~space ~budget caps
+                    objective prog)
             in
             failures := !failures + r.failures;
             (r.best, r.best_time, r.best_moves, r.evals)

@@ -169,8 +169,7 @@ module Ctx : sig
         (** crash-safe checkpoint file ({!Recover.Store}): search state
             is snapshotted there at round/level boundaries, atomically
             and durably, so a killed run can resume (default [None]).
-            Enabling it promotes a sequential run to the batched
-            [jobs = 1] engine (rounds are the checkpoint unit).
+            Checkpointing never changes the search's trajectory.
             Disabled inside portfolio members. *)
     checkpoint_every : int;
         (** minimum budget slots between snapshots (default [64]; the
@@ -303,11 +302,11 @@ val optimize :
     resumes from a database's best instead of restarting.
 
     [jobs] selects the evaluation backend for the stochastic strategies:
-    [0] (the default) is the sequential path, bit-identical to earlier
-    releases; [jobs >= 1] evaluates candidates in rounds of a fixed
-    batch on a {!Parallel.Pool} of [jobs] domains — results depend on
-    the batch size but not on [jobs], so [jobs = 1] and [jobs = N] agree
-    exactly.  [Portfolio] races its members across [jobs] domains.
+    [0] (the default) is the sequential search, one candidate per
+    round on the calling thread; [jobs >= 1] evaluates candidates in
+    rounds of 8 on a {!Parallel.Pool} of [jobs] domains — results
+    depend on the batch size but not on [jobs], so [jobs = 1] and
+    [jobs = N] agree exactly.  [Portfolio] races its members across [jobs] domains.
 
     [obs] receives the run's trace: a ["search"] span around the whole
     strategy, a ["warm-start"] span around the replay fallback, and the

@@ -18,8 +18,15 @@
        runtime (so children of weak candidates rarely get budget);
      - simulated annealing, whose cost is the candidate's own runtime.
 
-   Every candidate evaluation increments the budget; the best-so-far
-   curve is recorded for the convergence comparison (Figure 12). *)
+   Both methods are policies of one round engine ([run_rounds]), which
+   follows AutoTVM's batched measurement loop: a round picks [batch]
+   parents on the calling thread, grows and measures their children on
+   a worker pool, and folds the outcomes back in slot order.  At
+   [batch = 1] a round is one step of the classic sequential loop.
+
+   Every budget slot fills one point of the best-so-far curve, which
+   starts from the root (or warm-start) runtime; the curve is what the
+   convergence comparison (Figure 12) plots. *)
 
 open Transform
 
@@ -27,13 +34,13 @@ type objective = Ir.Prog.t -> float
 
 type space = Edges | Heuristic
 
-(* A surrogate pre-ranking stage for the batched variants: [score] is a
-   cheap learned predictor (higher = predicted faster) used to rank the
-   distinct candidates of a round so only the top [filter_ratio]
-   fraction pays for a real (simulator) evaluation; [observe] feeds
-   every real measurement back as online training signal.  The search
-   layer treats both as abstract closures — the concrete model lives in
-   [lib/surrogate], which depends on this library, not the reverse. *)
+(* A surrogate pre-ranking stage: [score] is a cheap learned predictor
+   (higher = predicted faster) used to rank the distinct candidates of
+   a round so only the top [filter_ratio] fraction pays for a real
+   (simulator) evaluation; [observe] feeds every real measurement back
+   as online training signal.  The search layer treats both as abstract
+   closures — the concrete model lives in [lib/surrogate], which
+   depends on this library, not the reverse. *)
 type prerank = {
   score : Ir.Prog.t -> float;  (** higher = predicted faster *)
   observe : Ir.Prog.t -> float -> unit;
@@ -45,7 +52,7 @@ type result = {
   best : Ir.Prog.t;
   best_time : float;
   best_moves : string list;
-  curve : float array; (* best-so-far runtime after each evaluation *)
+  curve : float array; (* best-so-far runtime after each budget slot *)
   evals : int; (* simulator evaluations actually performed *)
   skipped : int; (* slots filtered out by the surrogate (no evaluation) *)
   deduped : int; (* duplicate slots answered by a shared evaluation *)
@@ -79,10 +86,10 @@ let replay_skipping ?filter caps prog names =
    one.  A child's trail shares its parent's prefix nodes, so every
    mutation at a shared state — annealing branches a whole round of
    proposals off one current candidate — reuses one enumeration.  An
-   [Atomic], not a [Lazy]: the batched build phase reads parents from
-   several domains, and forcing one [Lazy] from two domains raises,
-   while two domains filling the same slot compute equal arrays, so a
-   race only wastes work. *)
+   [Atomic], not a [Lazy]: the build phase reads parents from several
+   domains, and forcing one [Lazy] from two domains raises, while two
+   domains filling the same slot compute equal arrays, so a race only
+   wastes work. *)
 type node = {
   state : Ir.Prog.t;
   offers : Xforms.instance array option Atomic.t;
@@ -169,6 +176,27 @@ let mutate ?filter caps rng (parent : candidate) : int * string list =
     draw pos (from (pos + 1))
   end
 
+(* Grow one child of [parent] without measuring it, as (moves, program,
+   trail).  In the edges-structured space the child appends one move
+   offered at the parent's last state and applies it; in the heuristic
+   space it is the parent's first [pos] moves followed by the mutated
+   suffix, replayed from the parent's trail. *)
+let expand ?filter space caps rng (parent : candidate) =
+  match space with
+  | Edges -> (
+      let last = parent.trail.(Array.length parent.trail - 1) in
+      match offers ?filter caps last with
+      | [||] -> (parent.moves, parent.prog, parent.trail)
+      | insts ->
+          let inst = insts.(Util.Rng.int rng (Array.length insts)) in
+          let p = inst.apply parent.prog in
+          ( parent.moves @ [ Xforms.describe inst ],
+            p,
+            Array.append parent.trail [| node p |] ))
+  | Heuristic ->
+      let pos, suffix = mutate ?filter caps rng parent in
+      extend ?filter caps (parent.moves, parent.trail) pos suffix
+
 (* ------------------------------------------------------------------ *)
 (* Guarded evaluation and quarantine                                   *)
 (* ------------------------------------------------------------------ *)
@@ -182,16 +210,67 @@ let mutate ?filter caps rng (parent : candidate) : int * string list =
 let quarantined root parent_runtime =
   { (root_candidate root infinity) with parent_runtime }
 
+(* Warm-start: replay a recorded move sequence from the root and return
+   it as a candidate to seed the search with — tuning resumes from the
+   database's best instead of restarting cold.  Guarded like every
+   other evaluation: a database sequence recorded by an older build may
+   no longer replay, and that must degrade to a cold start, not a
+   crash. *)
+let warm_candidate ~guard ?filter caps objective root (init : string list) :
+    (candidate option, Robust.Guard.failure) Stdlib.result =
+  if init = [] then Ok None
+  else
+    Result.map Option.some
+      (Robust.Guard.run ~cfg:guard
+         ~cost:(fun c -> c.runtime)
+         (fun () ->
+           let moves, prog, trail = from_root ?filter caps root init in
+           { moves; prog; trail; runtime = objective prog;
+             parent_runtime = infinity })
+         ())
+
+(* A failure counter plus its recorder for the prelude.  Every
+   quarantined evaluation becomes one [search.eval_error] event (here
+   the [i] field is -1 for the root evaluation, -2 for the warm-start
+   replay; a budget slot's failure carries [slot] instead) and bumps
+   the robust.* counters — so [result.failures] always equals the
+   number of eval_error events the run traced. *)
+let make_noter ?metrics obs =
+  let failures = ref 0 in
+  let note ~i f =
+    incr failures;
+    Robust.Guard.note ~obs ?metrics ~fields:[ Obs.Trace.int "i" i ] f
+  in
+  (failures, note)
+
+(* Root failure degrades to an infinite root score: search still runs,
+   any finite candidate immediately becomes best. *)
+let guarded_root ~guard ~note objective root =
+  match Robust.Guard.eval ~cfg:guard objective root with
+  | Ok t -> t
+  | Error f ->
+      note ~i:(-1) f;
+      infinity
+
+let guarded_warm ~guard ~note ?filter caps objective root ~root_time init =
+  match warm_candidate ~guard ?filter caps objective root init with
+  | Ok None -> None
+  | Ok (Some w) -> Some { w with parent_runtime = root_time }
+  | Error f ->
+      note ~i:(-2) f;
+      None
+
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Every emission site is guarded with [Obs.Trace.enabled] so an
-   untraced run allocates neither events nor field-thunk closures.  All
-   traced values (step indices, runtimes, move counts, temperature) are
-   deterministic functions of (seed, batch) — wall-clock only ever
-   enters through [dur_s] fields, which [Obs.Trace.strip_timing]
-   removes; this is what makes --jobs 1 / --jobs N traces comparable. *)
+   untraced run allocates neither events nor field-thunk closures, and
+   reads no clock.  All traced values (slot indices, runtimes, move
+   counts, temperature) are deterministic functions of (seed, batch) —
+   wall-clock only ever enters through [dur_s] fields, which
+   [Obs.Trace.strip_timing] removes; this is what makes --jobs 1 /
+   --jobs N traces comparable. *)
 
 let space_name = function Edges -> "edges" | Heuristic -> "heuristic"
 
@@ -225,11 +304,11 @@ let emit_best obs ~i (c : candidate) =
             int "n_moves" (List.length c.moves);
           ])
 
-(* Counter/gauge updates per evaluated step.  [accepted = None] for the
-   sampling methods (no acceptance notion): then only the step counter
-   and the runtime histogram move.  The annealing methods pass
-   [Some bool] and additionally maintain [search.accepted],
-   [search.acceptance_rate] and [search.temperature]. *)
+(* Counter/gauge updates per evaluated step.  [accepted = None] for
+   sampling (no acceptance notion): then only the step counter and the
+   runtime histogram move.  Annealing passes [Some bool] and
+   additionally maintains [search.accepted], [search.acceptance_rate]
+   and [search.temperature]. *)
 let note_step ?metrics ?accepted ?temp ~runtime () =
   match metrics with
   | None -> ()
@@ -248,345 +327,49 @@ let note_step ?metrics ?accepted ?temp ~runtime () =
       | None -> ()
       | Some t -> Obs.Metrics.set m "search.temperature" t
 
-(* How a child grows from its parent.  In the edges-structured space
-   expansion appends and applies one move itself ([Grown], no replay).
-   In the heuristic space the child is the parent's first [pos] moves
-   followed by [suffix] ([Resume]); [grow] replays the suffix from the
-   parent's trail, inside the guard. *)
-type growth =
-  | Grown of string list * Ir.Prog.t * node array
-  | Resume of int * string list
-
-let expand ?filter space caps rng (parent : candidate) : growth =
-  match space with
-  | Edges -> (
-      (* append one move offered at the parent's last state, [prog] *)
-      let last = parent.trail.(Array.length parent.trail - 1) in
-      match offers ?filter caps last with
-      | [||] -> Grown (parent.moves, parent.prog, parent.trail)
-      | insts ->
-          let inst = insts.(Util.Rng.int rng (Array.length insts)) in
-          let p = inst.apply parent.prog in
-          Grown
-            ( parent.moves @ [ Xforms.describe inst ],
-              p,
-              Array.append parent.trail [| node p |] ))
-  | Heuristic ->
-      let pos, suffix = mutate ?filter caps rng parent in
-      Resume (pos, suffix)
-
-let grow ?filter caps (parent : candidate) = function
-  | Grown (moves, prog, trail) -> (moves, prog, trail)
-  | Resume (pos, suffix) ->
-      extend ?filter caps (parent.moves, parent.trail) pos suffix
-
-let measured objective (moves, prog, trail) parent_runtime =
-  { moves; prog; trail; runtime = objective prog; parent_runtime }
-
-(* Expansion runs outside the guard — it consumes the search RNG, so a
-   transient retry must not re-draw — but is still protected: a
-   transform raising during [expand] quarantines the candidate exactly
-   like an objective raising during evaluation. *)
-let expand_checked ?filter space caps rng parent =
-  match expand ?filter space caps rng parent with
-  | v -> Ok v
-  | exception e -> Error (Robust.Guard.rejected_of_exn e)
-
-(* Grow and evaluate one child under the guard, to a
-   (candidate, failure option) pair.  The guard wraps replay and
-   evaluation together, so a transient failure re-runs both — replay
-   draws no randomness, so the retry is deterministic. *)
-let guarded_child ~guard ?filter space caps rng root objective
-    (parent : candidate) : candidate * Robust.Guard.failure option =
-  let outcome =
-    match expand_checked ?filter space caps rng parent with
-    | Error f -> Error f
-    | Ok g ->
-        Robust.Guard.run ~cfg:guard
-          ~cost:(fun c -> c.runtime)
-          (fun () ->
-            measured objective (grow ?filter caps parent g) parent.runtime)
-          ()
-  in
-  match outcome with
-  | Ok c -> (c, None)
-  | Error f -> (quarantined root parent.runtime, Some f)
-
-let run_curve budget f =
-  let curve = Array.make budget infinity in
-  let best = ref infinity in
-  for i = 0 to budget - 1 do
-    let t = f i in
-    if t < !best then best := t;
-    curve.(i) <- !best
-  done;
-  curve
-
 (* ------------------------------------------------------------------ *)
-(* Weighted random sampling                                            *)
+(* The round engine                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Warm-start: replay a recorded move sequence from the root and return
-   it as a candidate to seed the search with — tuning resumes from the
-   database's best instead of restarting cold.  Guarded like every
-   other evaluation: a database sequence recorded by an older build may
-   no longer replay, and that must degrade to a cold start, not a
-   crash. *)
-let warm_candidate ~guard ?filter caps objective root (init : string list) :
-    (candidate option, Robust.Guard.failure) Stdlib.result =
-  if init = [] then Ok None
-  else
-    Result.map Option.some
-      (Robust.Guard.run ~cfg:guard
-         ~cost:(fun c -> c.runtime)
-         (fun () ->
-           measured objective (from_root ?filter caps root init) infinity)
-         ())
+(* [run_rounds] is the one search loop.  Each round fills [batch]
+   budget slots in phases:
 
-(* The candidate pool and its selection weights live in growable buffers
-   (amortized O(1) push) — the previous per-evaluation [Array.append]
-   made pool growth O(budget^2).  The weight of a candidate depends only
-   on its parent's runtime, so it is computed once at push time;
-   [weighted_index_n] samples over the live prefix without copying.
-   Quarantined candidates are pushed with weight 0: they keep their
-   trajectory slot but are never drawn as parents. *)
-let make_pool root_cand warm =
-  let pool = Util.Dynarray.create ~capacity:64 root_cand in
-  let weights = Util.Dynarray.create ~capacity:64 0.0 in
-  let push_weighted w c =
-    Util.Dynarray.push pool c;
-    Util.Dynarray.push weights w
-  in
-  let push c = push_weighted (1.0 /. Float.max c.parent_runtime 1e-12) c in
-  let push_quarantined c = push_weighted 0.0 c in
-  push root_cand;
-  (match warm with None -> () | Some w -> push w);
-  let best =
-    Util.Dynarray.fold_left
-      (fun acc c -> if c.runtime < acc.runtime then c else acc)
-      root_cand pool
-  in
-  (pool, weights, push, push_quarantined, best)
-
-let pick_parent rng pool weights =
-  Util.Dynarray.get pool
-    (Util.Rng.weighted_index_n rng
-       (Util.Dynarray.unsafe_data weights)
-       (Util.Dynarray.length weights))
-
-(* A failure counter plus its recorder.  Every quarantined evaluation
-   becomes one [search.eval_error] event (the [i] field is -1 for the
-   root evaluation, -2 for the warm-start replay, the step index
-   otherwise) and bumps the robust.* counters — so [result.failures]
-   always equals the number of eval_error events the run traced. *)
-let make_noter ?metrics obs =
-  let failures = ref 0 in
-  let note ~i f =
-    incr failures;
-    Robust.Guard.note ~obs ?metrics ~fields:[ Obs.Trace.int "i" i ] f
-  in
-  (failures, note)
-
-(* Root failure degrades to an infinite root score: search still runs,
-   any finite candidate immediately becomes best. *)
-let guarded_root ~guard ~note objective root =
-  match Robust.Guard.eval ~cfg:guard objective root with
-  | Ok t -> t
-  | Error f ->
-      note ~i:(-1) f;
-      infinity
-
-let guarded_warm ~guard ~note ?filter caps objective root ~root_time init =
-  match warm_candidate ~guard ?filter caps objective root init with
-  | Ok None -> None
-  | Ok (Some w) -> Some { w with parent_runtime = root_time }
-  | Error f ->
-      note ~i:(-2) f;
-      None
-
-let random_sampling ?(seed = 1) ?filter ?(init = [])
-    ?(obs = Obs.Trace.null) ?metrics ?(guard = Robust.Guard.default)
-    ~(space : space) ~(budget : int) caps (objective : objective)
-    (root : Ir.Prog.t) : result =
-  let guard = Robust.Guard.instrument ?metrics guard in
-  let rng = Util.Rng.create seed in
-  let failures, note = make_noter ?metrics obs in
-  let root_time = guarded_root ~guard ~note objective root in
-  let root_cand = root_candidate root root_time in
-  emit_start obs ~meth:"random-sampling" ~space ~budget ~seed ~root_time;
-  let warm =
-    guarded_warm ~guard ~note ?filter caps objective root ~root_time init
-  in
-  let pool, weights, push, push_quarantined, best0 =
-    make_pool root_cand warm
-  in
-  let best = ref best0 in
-  let curve =
-    run_curve budget (fun i ->
-        let parent = pick_parent rng pool weights in
-        let child, failed =
-          guarded_child ~guard ?filter space caps rng root objective parent
-        in
-        (match failed with
-        | Some f ->
-            note ~i f;
-            push_quarantined child
-        | None ->
-            push child;
-            if child.runtime < !best.runtime then begin
-              best := child;
-              emit_best obs ~i child
-            end;
-            emit_step obs ~i ~runtime:child.runtime ~best:!best.runtime
-              (fun () -> []);
-            note_step ?metrics ~runtime:child.runtime ());
-        child.runtime)
-  in
-  {
-    best = !best.prog;
-    best_time = !best.runtime;
-    best_moves = !best.moves;
-    curve;
-    evals = budget;
-    skipped = 0;
-    deduped = 0;
-    visited = 0;
-    failures = !failures;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Batched-synchronous-parallel variants                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Parallelization follows AutoTVM's batched measurement loop: each
-   round deterministically prepares B candidate tasks on the submitting
-   thread (parent selection and one split-off RNG stream per task, in
-   slot order), fans the expensive part — growing the child and
-   replaying/evaluating it — across the pool, then folds the results
-   back in slot order.  Because every task is a pure function of its
-   (parent, RNG stream) inputs and both preparation and folding are
-   sequential, the trajectory is a function of (seed, batch) only: jobs
-   = 1 and jobs = N are identical, which the determinism tests pin.
-
-   Note the batched algorithms differ from the sequential ones for
-   batch > 1 (candidates within a round cannot see each other), so the
-   sequential entry points above remain the default path. *)
-
-let default_batch = 8
-
-(* Grow a child from [parent] with the task's own RNG stream and
-   evaluate it under the guard — the unit of parallel work.  [obs] is
-   the task's private buffer sink (or [null]); a successful evaluation
-   emits a [search.eval] event carrying the deterministic batch slot
-   plus a wall-clock [dur_s], a quarantined one emits the
-   [search.eval_error] event (and bumps robust.* counters) right here
-   on the worker — the fold only counts it, so each failure is recorded
-   exactly once.  Whether a candidate fails is deterministic (see
-   {!Robust.Faults}), so the merged event stream stays a pure function
-   of (seed, batch). *)
-let child_task ?filter ?metrics ~guard ~obs ~slot space caps root objective
-    parent task_rng () : candidate * Robust.Guard.failure option =
-  let t0 = if Obs.Trace.enabled obs then Obs.Span.now () else 0. in
-  let child, failed =
-    guarded_child ~guard ?filter space caps task_rng root objective parent
-  in
-  (match failed with
-  | Some f ->
-      Robust.Guard.note ~obs ?metrics
-        ~fields:[ Obs.Trace.int "slot" slot ]
-        f
-  | None ->
-      if Obs.Trace.enabled obs then
-        Obs.Trace.emit obs "search.eval" (fun () ->
-            Obs.Trace.
-              [
-                int "slot" slot;
-                int "n_moves" (List.length child.moves);
-                num "runtime" child.runtime;
-                num "dur_s" (Float.max 0. (Obs.Span.now () -. t0));
-              ]));
-  (child, failed)
-
-(* [prepare sink ~slot] builds one task thunk writing its events into
-   [sink]; [fold i child] consumes results in slot order.  When tracing
-   is on, each task gets its own buffer sink and the buffers are folded
-   into [obs] in slot order just before the corresponding [fold] — so
-   the merged event stream is a pure function of (seed, batch),
-   independent of which pool domain ran which task.
-
-   [start]/[curve_init] resume the loop from a checkpointed round
-   boundary (the curve prefix is the crashed run's); [round_end] fires
-   after each round with the filled count, the curve, and the
-   (evals, skipped, deduped, visited) accounting so far — the
-   checkpoint writer's hook.  All three default to no-ops, keeping the
-   cold path byte-identical to earlier releases. *)
-let no_round_end ~filled:_ ~curve:_ ~stats:_ = ()
-
-let run_batched ?(start = 0) ?(curve_init = [||]) ?(round_end = no_round_end)
-    ~obs ~batch ~pool ~budget ~prepare ~fold () =
-  if batch < 1 then invalid_arg "Stochastic: batch must be >= 1";
-  if start < 0 || start > budget then
-    invalid_arg "Stochastic: resume offset out of range";
-  let traced = Obs.Trace.enabled obs in
-  let curve = Array.make budget infinity in
-  Array.blit curve_init 0 curve 0 (min start (Array.length curve_init));
-  let filled = ref start in
-  while !filled < budget do
-    let b = min batch (budget - !filled) in
-    let sinks =
-      if traced then Array.init b (fun _ -> Obs.Trace.make_buffer ())
-      else [||]
-    in
-    let tasks = Array.make b (fun () -> assert false) in
-    for i = 0 to b - 1 do
-      (* explicit loop: slot order fixes the RNG draw order *)
-      let sink = if traced then sinks.(i) else Obs.Trace.null in
-      tasks.(i) <- prepare sink ~slot:(!filled + i)
-    done;
-    let children = Parallel.Pool.map pool (fun task -> task ()) tasks in
-    Array.iteri
-      (fun i child ->
-        if traced then Obs.Trace.append ~into:obs sinks.(i);
-        curve.(!filled + i) <- fold (!filled + i) child)
-      children;
-    filled := !filled + b;
-    round_end ~filled:!filled ~curve ~stats:(!filled, 0, 0, 0)
-  done;
-  curve
-
-(* ------------------------------------------------------------------ *)
-(* Surrogate pre-ranking and intra-batch dedup                         *)
-(* ------------------------------------------------------------------ *)
-
-(* [run_batched_filtered] is the opt-in sibling of [run_batched]: the
-   same batched-synchronous discipline (deterministic preparation and
-   folding on the submitting thread, expensive work on the pool), but
-   each round is split into a build phase and an evaluation phase so two
-   evaluation-saving stages can sit between them:
-
-     1. intra-batch dedup ([dedup]): candidates are hashed by their
-        printed program; each distinct program is evaluated once per
-        round and duplicates share the measurement
-        ([search.batch_dedup] carries unique/total counts);
-     2. surrogate pre-ranking ([prerank]): a cheap learned score ranks
+     1. prepare, on the calling thread in slot order: each slot's
+        parent (the method's choice) and its task RNG stream;
+     2. build, on the pool: grow each child (and, when dedup or the
+        visited set needs it, its canonical fingerprint), no
+        measurement yet;
+     3. intra-batch dedup ([dedup]): slots are grouped by canonical
+        fingerprint; each distinct state is evaluated once per round
+        and duplicates share the measurement ([search.batch_dedup]
+        carries unique/total counts);
+     4. visited filter ([visited]): a state measured in an earlier
+        round is never measured again ([search.visited_skip]);
+     5. surrogate pre-ranking ([prerank]): a cheap learned score ranks
         the distinct candidates and only the top-k
         ([prerank.filter_ratio]) reach the guarded simulator; the rest
-        are skipped outright ([search.prerank]).
+        are skipped outright ([search.prerank]);
+     6. evaluate the selected representatives on the pool, then fold
+        every slot's outcome in slot order on the calling thread.
 
-   Everything that consumes randomness (parent selection, RNG splits,
-   acceptance draws) still happens on the submitting thread in slot
-   order, and which slots are skipped / deduplicated is a deterministic
-   function of (seed, batch, model state) — the model itself is only
-   ever scored and trained from the submitting thread, in slot order —
-   so jobs-invariance holds exactly as for [run_batched].  The default
-   path never comes here: [run_batched] is untouched when neither
-   feature is enabled.
+   Everything that consumes the main RNG stream (parent choice, task
+   streams, acceptance draws) or a model (scoring, training) happens on
+   the calling thread in slot order, and only pure work runs on the
+   pool, so the trajectory is a function of (seed, batch, model state):
+   [jobs = 1] and [jobs = N] are identical, which the determinism tests
+   pin.  For [batch > 1] candidates within a round cannot see each
+   other, so the trajectory also depends on [batch].
 
-   Moving replay out of the guard (the build phase) preserves the guard
-   semantics: replay is pure and draws no randomness, so an exception
-   during build is classified with the same [rejected_of_exn] a guarded
-   replay would have produced, and {!Robust.Faults} only ever wraps the
-   objective, whose attempt counter is untouched by the split. *)
+   Each slot's task stream is split off the main stream, except at
+   [batch = 1], where it is the main stream itself: [Parallel.Pool.map]
+   runs a one-element batch inline on the calling thread, so the draws
+   keep the sequential order — parent choice, expansion, then the
+   fold's acceptance draw.
+
+   Building outside the guard preserves the guard semantics: replay is
+   pure and draws no randomness, so an exception during build is
+   classified with the same [rejected_of_exn] a guarded replay would
+   have produced, and {!Robust.Faults} only ever wraps the objective. *)
 
 (* What one budget slot amounted to, folded in slot order. *)
 type slot_outcome =
@@ -598,15 +381,12 @@ type slot_outcome =
       (** canonical state already evaluated in an earlier round: no
           measurement, the visited set answered *)
 
-(* Grow one child without measuring it: the (moves, program) pair ready
-   for dedup/ranking.  Exceptions from a transform or replay classify
-   exactly like they did under the guard. *)
+(* Exceptions from a transform or replay classify exactly like they
+   would under the guard. *)
 let build_child ?filter space caps (parent : candidate) task_rng :
     (string list * Ir.Prog.t * node array, Robust.Guard.failure)
     Stdlib.result =
-  match
-    grow ?filter caps parent (expand ?filter space caps task_rng parent)
-  with
+  match expand ?filter space caps task_rng parent with
   | v -> Ok v
   | exception e -> Error (Robust.Guard.rejected_of_exn e)
 
@@ -626,19 +406,19 @@ let observe_seed prerank root ~root_time warm =
       | Some w when Float.is_finite w.runtime -> p.observe w.prog w.runtime
       | _ -> ())
 
-(* [prepare_parent ~slot] picks the parent and splits the task RNG on
-   the submitting thread; [fold slot parent outcome] consumes one slot.
-   [visited], when present, is the cross-round visited set: canonical
-   fingerprints of every state already measured; candidates whose
-   fingerprint is in the set never reach the simulator again.
-   Returns the curve plus (evals, skipped, deduped, visited)
-   accounting: budget = evals + skipped + deduped + visited +
+(* [parent ()] is the method's parent choice for the next slot;
+   [fold slot parent outcome] consumes one slot and returns the
+   best-so-far runtime.  [visited], when present, is the cross-round
+   visited set: canonical fingerprints of every state already measured.
+   [start]/[curve_init]/[counters] resume the loop from a checkpointed
+   round boundary, and [round_end] fires after each round with the
+   filled count, the curve and the (evals, skipped, deduped, visited)
+   accounting so far — the checkpoint writer's hook.  Returns the curve
+   plus that accounting: budget = evals + skipped + deduped + visited +
    build-failures. *)
-let run_batched_filtered ?filter ?metrics ?(start = 0) ?(curve_init = [||])
-    ?(counters_init = (0, 0, 0, 0)) ?(round_end = no_round_end) ~obs ~batch
-    ~pool ~budget ~guard ~dedup ~prerank ~visited ~space ~caps
-    ~objective ~prepare_parent ~fold () =
-  if batch < 1 then invalid_arg "Stochastic: batch must be >= 1";
+let run_rounds ?filter ?metrics ~obs ~pool ~batch ~budget ~guard ~dedup
+    ~prerank ~visited ~space ~caps ~objective ~rng ~parent ~fold ~start
+    ~curve_init ~counters ~round_end () =
   if start < 0 || start > budget then
     invalid_arg "Stochastic: resume offset out of range";
   let traced = Obs.Trace.enabled obs in
@@ -650,7 +430,7 @@ let run_batched_filtered ?filter ?metrics ?(start = 0) ?(curve_init = [||])
   let want_fp = dedup || visited <> None in
   let curve = Array.make budget infinity in
   Array.blit curve_init 0 curve 0 (min start (Array.length curve_init));
-  let e0, s0, d0, v0 = counters_init in
+  let e0, s0, d0, v0 = counters in
   let n_evals = ref e0
   and n_skipped = ref s0
   and n_deduped = ref d0
@@ -658,14 +438,15 @@ let run_batched_filtered ?filter ?metrics ?(start = 0) ?(curve_init = [||])
   let filled = ref start in
   while !filled < budget do
     let b = min batch (budget - !filled) in
-    (* 1. prepare: parent selection + RNG splits, submit thread, slot
-       order — the only draws from the main search stream *)
+    (* 1. prepare — the only draws from the main stream before the
+       fold (see above for batch = 1) *)
     let prepared =
-      Array.init b (fun i -> prepare_parent ~slot:(!filled + i))
+      Array.init b (fun _ ->
+          let p = parent () in
+          (p, if batch = 1 then rng else Util.Rng.split rng))
     in
-    (* 2. build phase on the pool: grow children (and, when dedup or
-       the visited set needs them, their canonical fingerprints — pure,
-       so still jobs-invariant), no measurement yet *)
+    (* 2. build on the pool; fingerprints are pure, so still
+       jobs-invariant *)
     let built_fp =
       Parallel.Pool.map pool
         (fun (parent, task_rng) ->
@@ -685,9 +466,9 @@ let run_batched_filtered ?filter ?metrics ?(start = 0) ?(curve_init = [||])
         (fun acc r -> match r with Ok _ -> acc + 1 | Error _ -> acc)
         0 built
     in
-    (* 3. dedup: group slots by canonical fingerprint — alpha-renamed /
-       commutatively-reordered spellings of one state share a group;
-       the first slot of a group is its representative *)
+    (* 3. dedup: alpha-renamed / commutatively-reordered spellings of
+       one state share a group; the first slot of a group is its
+       representative *)
     let rep_of = Array.init b (fun i -> i) in
     if dedup then begin
       let tbl = Hashtbl.create (2 * b) in
@@ -705,10 +486,8 @@ let run_batched_filtered ?filter ?metrics ?(start = 0) ?(curve_init = [||])
         (fun i -> rep_of.(i) = i && Result.is_ok built.(i))
         (List.init b Fun.id)
     in
-    (* 3b. visited filter: a representative whose canonical state was
-       measured in an earlier round never reaches pre-ranking or the
-       simulator; membership is checked on the submitting thread, so
-       the decision is a pure function of the trajectory so far *)
+    (* 4. visited filter: membership is checked on the calling thread,
+       so the decision is a pure function of the trajectory so far *)
     let visited_rep = Array.make b false in
     (match visited with
     | None -> ()
@@ -733,7 +512,7 @@ let run_batched_filtered ?filter ?metrics ?(start = 0) ?(curve_init = [||])
                 int "total" n_ok;
               ])
     end;
-    (* 4. surrogate pre-rank: keep the top-k distinct candidates; ties
+    (* 5. surrogate pre-rank: keep the top-k distinct candidates; ties
        and equal scores resolve by slot order, so selection is
        deterministic *)
     let selected =
@@ -771,8 +550,8 @@ let run_batched_filtered ?filter ?metrics ?(start = 0) ?(curve_init = [||])
         kept
       end
     in
-    (* 5. evaluation phase on the pool: only the selected
-       representatives hit the guarded simulator *)
+    (* 6. evaluation on the pool: only the selected representatives hit
+       the guarded simulator *)
     let selected_arr = Array.of_list selected in
     let measured =
       Parallel.Pool.map pool
@@ -780,13 +559,18 @@ let run_batched_filtered ?filter ?metrics ?(start = 0) ?(curve_init = [||])
           match built.(i) with
           | Error _ -> assert false
           | Ok (_, prog, _) ->
-              let t0 = Obs.Span.now () in
-              let r = Robust.Guard.eval ~cfg:guard objective prog in
-              (r, Float.max 0. (Obs.Span.now () -. t0)))
+              let eval () = Robust.Guard.eval ~cfg:guard objective prog in
+              if not traced then (eval (), 0.)
+              else begin
+                let t0 = Obs.Span.now () in
+                let r = eval () in
+                (r, Float.max 0. (Obs.Span.now () -. t0))
+              end)
         selected_arr
     in
     n_evals := !n_evals + Array.length selected_arr;
-    bump ~by:(Array.length selected_arr) "surrogate.evals";
+    if prerank <> None then
+      bump ~by:(Array.length selected_arr) "surrogate.evals";
     let eval_of = Hashtbl.create (2 * b) in
     Array.iteri (fun j i -> Hashtbl.add eval_of i measured.(j)) selected_arr;
     (* record the states measured this round; quarantined evaluations
@@ -801,9 +585,9 @@ let run_batched_filtered ?filter ?metrics ?(start = 0) ?(curve_init = [||])
             | Ok _, _ -> Hashtbl.replace set fps.(i) ()
             | Error _, _ -> ())
           selected_arr);
-    (* 6. fold in slot order on the submitting thread; all trace events
-       of the round are emitted here, so the stream is a pure function
-       of (seed, batch, model state) *)
+    (* fold in slot order on the calling thread; all trace events of
+       the round are emitted here, so the stream is a pure function of
+       (seed, batch, model state) *)
     for i = 0 to b - 1 do
       let slot = !filled + i in
       let parent, _ = prepared.(i) in
@@ -872,15 +656,15 @@ let make_visited ~visited_dedup root warm =
 (* Checkpoint / resume (crash safety)                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The batched engines checkpoint at round boundaries: after each round
-   the whole search state — main RNG quadruple, candidate pool with
+(* The engine checkpoints at round boundaries: after each round the
+   whole search state — main RNG quadruple, candidate pool with
    selection weights, best-so-far, the annealing chain state, the
    best-so-far curve prefix, exact accounting, the visited fingerprint
    set, the surrogate model (via [snapshot_extra]), and the number of
    trace events emitted so far — is written atomically and durably
    through {!Recover.Store}.  Because rounds are the unit of
    determinism (parent selection, RNG splits and acceptance draws all
-   happen on the submitting thread between round boundaries), a run
+   happen on the calling thread between round boundaries), a run
    killed at any point and resumed from its last checkpoint replays the
    exact trajectory of the uninterrupted run: same [result], exact
    accounting across the splice, and — since the checkpoint records the
@@ -1062,29 +846,6 @@ let cand_of_triple ?filter caps root (moves, runtime, parent_runtime) =
   let _, prog, trail = from_root ?filter caps root moves in
   { moves; prog; trail; runtime; parent_runtime }
 
-(* Rebuild the candidate pool with its exact selection weights (a
-   quarantined entry keeps weight 0, the root its 1/root_time, etc.) so
-   the first resumed parent draw matches the uninterrupted run's. *)
-let pool_of_state ?filter caps root entries =
-  let pool = Util.Dynarray.create ~capacity:64 (root_candidate root infinity) in
-  let weights = Util.Dynarray.create ~capacity:64 0.0 in
-  let push_weighted w c =
-    Util.Dynarray.push pool c;
-    Util.Dynarray.push weights w
-  in
-  Array.iter
-    (fun (moves, rt, prt, w) ->
-      push_weighted w (cand_of_triple ?filter caps root (moves, rt, prt)))
-    entries;
-  let push c = push_weighted (1.0 /. Float.max c.parent_runtime 1e-12) c in
-  let push_quarantined c = push_weighted 0.0 c in
-  (pool, weights, push, push_quarantined)
-
-let snapshot_pool pool weights =
-  Array.init (Util.Dynarray.length pool) (fun i ->
-      let c = Util.Dynarray.get pool i in
-      (c.moves, c.runtime, c.parent_runtime, Util.Dynarray.get weights i))
-
 let snapshot_triple (c : candidate) = (c.moves, c.runtime, c.parent_runtime)
 
 let visited_to_list = function
@@ -1159,50 +920,152 @@ let maybe_counting checkpoint obs =
 let restore_model restore_extra extra =
   match (restore_extra, extra) with Some f, Some j -> f j | _ -> ()
 
-let random_sampling_parallel ?(seed = 1) ?filter ?(init = [])
-    ?(obs = Obs.Trace.null) ?metrics ?(guard = Robust.Guard.default)
-    ?(batch = default_batch) ?prerank ?(dedup = false)
-    ?(visited_dedup = false) ?checkpoint ?snapshot_extra ?restore_extra
-    ~(pool : Parallel.Pool.t) ~(space : space)
-    ~(budget : int) caps (objective : objective) (root : Ir.Prog.t) : result =
+(* ------------------------------------------------------------------ *)
+(* The two methods, as policies of the round engine                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Where a method's state comes from: the root and the warm-start
+   candidate of a cold start, or a checkpoint. *)
+type start = Cold of candidate * candidate option | Resumed of ckpt_state
+
+(* A method as the engine drives it: [parent] picks the next slot's
+   parent on the calling thread; [settle parent outcome] folds one
+   slot into the method's own state, returning the acceptance decision
+   and the temperature it was taken at (annealing only); [save] adds
+   that state to a checkpoint. *)
+type policy = {
+  parent : unit -> candidate;
+  settle : candidate -> slot_outcome -> (bool * float) option;
+  save : ckpt_state -> ckpt_state;
+}
+
+(* Weighted random sampling: every candidate so far can be the parent,
+   weighted by the inverse of its own parent's runtime.  The pool and
+   its weights live in growable buffers (amortized O(1) push, sampled
+   in place by [weighted_index_n]); a quarantined slot is pushed with
+   weight 0, so it keeps its place but is never drawn.  Returns the
+   policy and the starting best. *)
+let sampling ~root ~rng ~rebuild start =
+  let cands =
+    Util.Dynarray.create ~capacity:64 (root_candidate root infinity)
+  in
+  let weights = Util.Dynarray.create ~capacity:64 0.0 in
+  let push w c =
+    Util.Dynarray.push cands c;
+    Util.Dynarray.push weights w
+  in
+  let push_measured c = push (1.0 /. Float.max c.parent_runtime 1e-12) c in
+  let best =
+    match start with
+    | Cold (r, warm) ->
+        push_measured r;
+        Option.iter push_measured warm;
+        (match warm with Some w when w.runtime < r.runtime -> w | _ -> r)
+    | Resumed st ->
+        Array.iter
+          (fun (moves, rt, prt, w) -> push w (rebuild (moves, rt, prt)))
+          st.st_pool;
+        rebuild st.st_best
+  in
+  let parent () =
+    Util.Dynarray.get cands
+      (Util.Rng.weighted_index_n rng
+         (Util.Dynarray.unsafe_data weights)
+         (Util.Dynarray.length weights))
+  in
+  let settle parent outcome =
+    (match outcome with
+    | Evaluated c -> push_measured c
+    | Failed _ -> push 0.0 (quarantined root parent.runtime)
+    | Skipped | Visited -> ());
+    None
+  in
+  let save st =
+    let entry i =
+      let c = Util.Dynarray.get cands i in
+      (c.moves, c.runtime, c.parent_runtime, Util.Dynarray.get weights i)
+    in
+    { st with st_pool = Array.init (Util.Dynarray.length cands) entry }
+  in
+  ({ parent; settle; save }, best)
+
+(* Simulated annealing: every slot's parent is the chain's current
+   state, so a whole round branches off the round-start state.  A
+   measured child is accepted when it is no slower, else with
+   probability exp(-relative slowdown / temperature).  The temperature
+   cools once per slot whatever the outcome, so it stays a function of
+   the slot index alone; a slot that was not measured (quarantined,
+   skipped, visited) draws no acceptance number. *)
+let annealing ~t0 ~cooling ~rng ~rebuild start =
+  let current, temp, best =
+    match start with
+    | Cold (r, warm) ->
+        let c =
+          match warm with Some w when w.runtime <= r.runtime -> w | _ -> r
+        in
+        (c, t0, c)
+    | Resumed st -> (
+        match (st.st_current, st.st_temp) with
+        | Some c, Some t -> (rebuild c, t, rebuild st.st_best)
+        | None, _ -> ck_corrupt "annealing checkpoint missing chain state"
+        | _, None -> ck_corrupt "annealing checkpoint missing temperature")
+  in
+  let current = ref current and temp = ref temp in
+  let settle _ outcome =
+    let t = !temp in
+    temp := t *. cooling;
+    match outcome with
+    | Evaluated c ->
+        let accept =
+          c.runtime <= !current.runtime
+          ||
+          let delta =
+            (c.runtime -. !current.runtime) /. Float.max !current.runtime 1e-12
+          in
+          Util.Rng.float rng < exp (-.delta /. Float.max t 1e-6)
+        in
+        if accept then current := c;
+        Some (accept, t)
+    | Failed _ | Skipped | Visited -> None
+  in
+  let save st =
+    { st with st_current = Some (snapshot_triple !current);
+              st_temp = Some !temp }
+  in
+  ({ parent = (fun () -> !current); settle; save }, best)
+
+(* The driver shared by both public entry points: the prelude (root
+   evaluation, warm-start replay, model and visited-set seeding) or a
+   checkpoint restore, then [run_rounds] with the method's policy. *)
+let search ~meth ~policy ?(seed = 1) ?filter ?(init = [])
+    ?(obs = Obs.Trace.null) ?metrics ?(guard = Robust.Guard.default) ?pool
+    ?(batch = 1) ?prerank ?(dedup = false) ?(visited_dedup = false)
+    ?checkpoint ?snapshot_extra ?restore_extra ~(space : space)
+    ~(budget : int) caps (objective : objective) (root : Ir.Prog.t) : result
+    =
+  if budget < 0 then invalid_arg "Stochastic: budget must be >= 0";
+  if batch < 1 then invalid_arg "Stochastic: batch must be >= 1";
   check_prerank prerank;
   let guard = Robust.Guard.instrument ?metrics guard in
-  let meth = "random-sampling-parallel" in
   let obs, counted = maybe_counting checkpoint obs in
   let resumed =
     load_stochastic_resume checkpoint ~meth ~space ~seed ~budget ~batch
   in
   let failures, note = make_noter ?metrics obs in
-  let ( rng,
-        cands,
-        weights,
-        push,
-        push_quarantined,
-        best,
-        visited,
-        start,
-        curve_init,
-        counters_init,
-        events_base ) =
+  let rng, start, visited =
     match resumed with
     | None ->
-        (* cold start: the prelude (root evaluation, warm-start replay,
-           model seeding) runs exactly as in earlier releases *)
         let rng = Util.Rng.create seed in
         let root_time = guarded_root ~guard ~note objective root in
-        let root_cand = root_candidate root root_time in
         emit_start obs ~meth ~space ~budget ~seed ~root_time;
         let warm =
           guarded_warm ~guard ~note ?filter caps objective root ~root_time
             init
         in
         observe_seed prerank root ~root_time warm;
-        let cands, weights, push, push_quarantined, best0 =
-          make_pool root_cand warm
-        in
-        let visited = make_visited ~visited_dedup root warm in
-        ( rng, cands, weights, push, push_quarantined, ref best0, visited, 0,
-          [||], (0, 0, 0, 0), 0 )
+        ( rng,
+          Cold (root_candidate root root_time, warm),
+          make_visited ~visited_dedup root warm )
     | Some st ->
         (* resume: the entire prelude is skipped — its effects (root
            evaluation, warm replay, start event, model seeding) are all
@@ -1212,409 +1075,98 @@ let random_sampling_parallel ?(seed = 1) ?filter ?(init = [])
         | Some m -> Obs.Metrics.incr m "checkpoint.resumes"
         | None -> ());
         failures := st.st_failures;
-        let cands, weights, push, push_quarantined =
-          pool_of_state ?filter caps root st.st_pool
-        in
         restore_model restore_extra st.st_extra;
-        let visited =
-          if visited_dedup then Some (visited_of_list st.st_visited) else None
-        in
-        ( Util.Rng.of_state st.st_rng, cands, weights, push,
-          push_quarantined, ref (cand_of_triple ?filter caps root st.st_best),
-          visited, st.st_filled, st.st_curve, st.st_counts, st.st_events )
+        ( Util.Rng.of_state st.st_rng,
+          Resumed st,
+          if visited_dedup then Some (visited_of_list st.st_visited)
+          else None )
   in
+  let pol, best0 =
+    policy ~rng ~rebuild:(cand_of_triple ?filter caps root) start
+  in
+  let best = ref best0 in
   let snapshot ~filled ~curve ~stats ~events =
     encode_stochastic ~meth ~space ~seed ~budget ~batch
-      {
-        st_filled = filled;
-        st_rng = Util.Rng.state rng;
-        st_pool = snapshot_pool cands weights;
-        st_best = snapshot_triple !best;
-        st_current = None;
-        st_temp = None;
-        st_curve = Array.sub curve 0 filled;
-        st_counts = stats;
-        st_failures = !failures;
-        st_visited = visited_to_list visited;
-        st_events = events;
-        st_extra = Option.map (fun f -> f ()) snapshot_extra;
-      }
+      (pol.save
+         {
+           st_filled = filled;
+           st_rng = Util.Rng.state rng;
+           st_pool = [||];
+           st_best = snapshot_triple !best;
+           st_current = None;
+           st_temp = None;
+           st_curve = Array.sub curve 0 filled;
+           st_counts = stats;
+           st_failures = !failures;
+           st_visited = visited_to_list visited;
+           st_events = events;
+           st_extra = Option.map (fun f -> f ()) snapshot_extra;
+         })
+  in
+  let start_at, curve_init, counters, events_base =
+    match start with
+    | Cold _ -> (0, [||], (0, 0, 0, 0), 0)
+    | Resumed st -> (st.st_filled, st.st_curve, st.st_counts, st.st_events)
   in
   let round_end =
-    make_round_hook ?metrics ~obs ~counted ~events_base ~checkpoint ~start
-      ~budget ~snapshot ()
+    make_round_hook ?metrics ~obs ~counted ~events_base ~checkpoint
+      ~start:start_at ~budget ~snapshot ()
   in
-  match (prerank, dedup, visited_dedup) with
-  | None, false, false ->
-      (* the default engine, byte-identical to earlier releases *)
-      let prepare sink ~slot =
-        let parent = pick_parent rng cands weights in
-        let task_rng = Util.Rng.split rng in
-        child_task ?filter ?metrics ~guard ~obs:sink ~slot space caps root
-          objective parent task_rng
-      in
-      let fold i (child, failed) =
-        (match failed with
-        | Some _ ->
-            (* the worker already recorded the event and counters *)
-            incr failures;
-            push_quarantined child
-        | None ->
-            push child;
-            if child.runtime < !best.runtime then begin
-              best := child;
-              emit_best obs ~i child
-            end;
-            emit_step obs ~i ~runtime:child.runtime ~best:!best.runtime
-              (fun () -> []);
-            note_step ?metrics ~runtime:child.runtime ());
-        !best.runtime
-      in
-      let curve =
-        run_batched ~start ~curve_init ~round_end ~obs ~batch ~pool ~budget
-          ~prepare ~fold ()
-      in
-      {
-        best = !best.prog;
-        best_time = !best.runtime;
-        best_moves = !best.moves;
-        curve;
-        evals = budget;
-        skipped = 0;
-        deduped = 0;
-        visited = 0;
-        failures = !failures;
-      }
-  | _ ->
-      let note_slot ~slot f =
+  let fold slot parent outcome =
+    let step = pol.settle parent outcome in
+    (match outcome with
+    | Failed f ->
         incr failures;
-        Robust.Guard.note ~obs ?metrics
-          ~fields:[ Obs.Trace.int "slot" slot ]
-          f
-      in
-      let prepare_parent ~slot:_ =
-        let parent = pick_parent rng cands weights in
-        (parent, Util.Rng.split rng)
-      in
-      let fold slot parent = function
-        | Failed f ->
-            note_slot ~slot f;
-            push_quarantined (quarantined root parent.runtime);
-            !best.runtime
-        | Skipped | Visited -> !best.runtime
-        | Evaluated child ->
-            push child;
-            if child.runtime < !best.runtime then begin
-              best := child;
-              emit_best obs ~i:slot child
-            end;
-            emit_step obs ~i:slot ~runtime:child.runtime ~best:!best.runtime
-              (fun () -> []);
-            note_step ?metrics ~runtime:child.runtime ();
-            !best.runtime
-      in
-      let curve, evals, skipped, deduped, visited =
-        run_batched_filtered ?filter ?metrics ~start ~curve_init
-          ~counters_init ~round_end ~obs ~batch ~pool ~budget ~guard ~dedup
-          ~prerank ~visited ~space ~caps ~objective ~prepare_parent
-          ~fold ()
-      in
-      {
-        best = !best.prog;
-        best_time = !best.runtime;
-        best_moves = !best.moves;
-        curve;
-        evals;
-        skipped;
-        deduped;
-        visited;
-        failures = !failures;
-      }
-
-let simulated_annealing_parallel ?(seed = 1) ?filter ?(init = [])
-    ?(obs = Obs.Trace.null) ?metrics ?(guard = Robust.Guard.default)
-    ?(t0 = 0.5) ?(cooling = 0.995) ?(batch = default_batch) ?prerank
-    ?(dedup = false) ?(visited_dedup = false) ?checkpoint ?snapshot_extra
-    ?restore_extra ~(pool : Parallel.Pool.t)
-    ~(space : space) ~(budget : int) caps (objective : objective)
-    (root : Ir.Prog.t) : result =
-  check_prerank prerank;
-  let guard = Robust.Guard.instrument ?metrics guard in
-  let meth = "simulated-annealing-parallel" in
-  let obs, counted = maybe_counting checkpoint obs in
-  let resumed =
-    load_stochastic_resume checkpoint ~meth ~space ~seed ~budget ~batch
+        Robust.Guard.note ~obs ?metrics ~fields:[ Obs.Trace.int "slot" slot ] f
+    | Skipped | Visited -> ()
+    | Evaluated child ->
+        if child.runtime < !best.runtime then begin
+          best := child;
+          emit_best obs ~i:slot child
+        end;
+        emit_step obs ~i:slot ~runtime:child.runtime ~best:!best.runtime
+          (fun () ->
+            match step with
+            | None -> []
+            | Some (accept, t) ->
+                [ Obs.Trace.bool "accepted" accept; Obs.Trace.num "temp" t ]);
+        note_step ?metrics
+          ?accepted:(Option.map fst step)
+          ?temp:(Option.map snd step) ~runtime:child.runtime ());
+    !best.runtime
   in
-  let failures, note = make_noter ?metrics obs in
-  let ( rng,
-        current,
-        best,
-        temp,
-        visited,
-        start,
-        curve_init,
-        counters_init,
-        events_base ) =
-    match resumed with
-    | None ->
-        let rng = Util.Rng.create seed in
-        let root_time = guarded_root ~guard ~note objective root in
-        let root_cand = root_candidate root root_time in
-        emit_start obs ~meth ~space ~budget ~seed ~root_time;
-        let warm =
-          guarded_warm ~guard ~note ?filter caps objective root ~root_time
-            init
-        in
-        observe_seed prerank root ~root_time warm;
-        let current =
-          ref
-            (match warm with
-            | Some w when w.runtime <= root_time -> w
-            | Some _ | None -> root_cand)
-        in
-        let visited = make_visited ~visited_dedup root warm in
-        (rng, current, ref !current, ref t0, visited, 0, [||], (0, 0, 0, 0), 0)
-    | Some st ->
-        (* resume: prelude skipped — see random_sampling_parallel *)
-        (match metrics with
-        | Some m -> Obs.Metrics.incr m "checkpoint.resumes"
-        | None -> ());
-        failures := st.st_failures;
-        restore_model restore_extra st.st_extra;
-        let current =
-          match st.st_current with
-          | Some c -> ref (cand_of_triple ?filter caps root c)
-          | None -> ck_corrupt "annealing checkpoint missing chain state"
-        in
-        let temp =
-          match st.st_temp with
-          | Some t -> ref t
-          | None -> ck_corrupt "annealing checkpoint missing temperature"
-        in
-        let visited =
-          if visited_dedup then Some (visited_of_list st.st_visited) else None
-        in
-        ( Util.Rng.of_state st.st_rng, current,
-          ref (cand_of_triple ?filter caps root st.st_best), temp, visited,
-          st.st_filled, st.st_curve, st.st_counts, st.st_events )
+  let pool =
+    match pool with Some p -> p | None -> Parallel.Pool.create ~jobs:1 ()
   in
-  let snapshot ~filled ~curve ~stats ~events =
-    encode_stochastic ~meth ~space ~seed ~budget ~batch
-      {
-        st_filled = filled;
-        st_rng = Util.Rng.state rng;
-        st_pool = [||];
-        st_best = snapshot_triple !best;
-        st_current = Some (snapshot_triple !current);
-        st_temp = Some !temp;
-        st_curve = Array.sub curve 0 filled;
-        st_counts = stats;
-        st_failures = !failures;
-        st_visited = visited_to_list visited;
-        st_events = events;
-        st_extra = Option.map (fun f -> f ()) snapshot_extra;
-      }
-  in
-  let round_end =
-    make_round_hook ?metrics ~obs ~counted ~events_base ~checkpoint ~start
-      ~budget ~snapshot ()
-  in
-  match (prerank, dedup, visited_dedup) with
-  | None, false, false ->
-      (* the default engine, byte-identical to earlier releases *)
-      let prepare sink ~slot =
-        (* all proposals of a round branch off the round-start state *)
-        let parent = !current in
-        let task_rng = Util.Rng.split rng in
-        child_task ?filter ?metrics ~guard ~obs:sink ~slot space caps root
-          objective parent task_rng
-      in
-      let fold i (child, failed) =
-        (match failed with
-        | Some _ ->
-            (* quarantined: never accepted, never best; the cooling
-               schedule still advances so temperature stays a function
-               of the step index alone.  No acceptance RNG draw happens
-               — the failure is deterministic, so the draw sequence is
-               too. *)
-            incr failures
-        | None ->
-            let accept =
-              child.runtime <= !current.runtime
-              ||
-              let delta =
-                (child.runtime -. !current.runtime)
-                /. Float.max !current.runtime 1e-12
-              in
-              Util.Rng.float rng < exp (-.delta /. Float.max !temp 1e-6)
-            in
-            if accept then current := child;
-            if child.runtime < !best.runtime then begin
-              best := child;
-              emit_best obs ~i child
-            end;
-            emit_step obs ~i ~runtime:child.runtime ~best:!best.runtime
-              (fun () ->
-                [
-                  Obs.Trace.bool "accepted" accept; Obs.Trace.num "temp" !temp;
-                ]);
-            note_step ?metrics ~accepted:accept ~temp:!temp
-              ~runtime:child.runtime ());
-        temp := !temp *. cooling;
-        !best.runtime
-      in
-      let curve =
-        run_batched ~start ~curve_init ~round_end ~obs ~batch ~pool ~budget
-          ~prepare ~fold ()
-      in
-      {
-        best = !best.prog;
-        best_time = !best.runtime;
-        best_moves = !best.moves;
-        curve;
-        evals = budget;
-        skipped = 0;
-        deduped = 0;
-        visited = 0;
-        failures = !failures;
-      }
-  | _ ->
-      let note_slot ~slot f =
-        incr failures;
-        Robust.Guard.note ~obs ?metrics
-          ~fields:[ Obs.Trace.int "slot" slot ]
-          f
-      in
-      let prepare_parent ~slot:_ =
-        (* all proposals of a round branch off the round-start state *)
-        (!current, Util.Rng.split rng)
-      in
-      let fold slot _parent outcome =
-        (match outcome with
-        | Failed f ->
-            (* quarantined: never accepted, never best; cooling still
-               advances so temperature stays a function of the step
-               index alone *)
-            note_slot ~slot f
-        | Skipped | Visited ->
-            (* filtered out (surrogate) or already measured (visited
-               set) before measurement: no acceptance draw (the skip is
-               deterministic), cooling still advances *)
-            ()
-        | Evaluated child ->
-            let accept =
-              child.runtime <= !current.runtime
-              ||
-              let delta =
-                (child.runtime -. !current.runtime)
-                /. Float.max !current.runtime 1e-12
-              in
-              Util.Rng.float rng < exp (-.delta /. Float.max !temp 1e-6)
-            in
-            if accept then current := child;
-            if child.runtime < !best.runtime then begin
-              best := child;
-              emit_best obs ~i:slot child
-            end;
-            emit_step obs ~i:slot ~runtime:child.runtime ~best:!best.runtime
-              (fun () ->
-                [
-                  Obs.Trace.bool "accepted" accept; Obs.Trace.num "temp" !temp;
-                ]);
-            note_step ?metrics ~accepted:accept ~temp:!temp
-              ~runtime:child.runtime ());
-        temp := !temp *. cooling;
-        !best.runtime
-      in
-      let curve, evals, skipped, deduped, visited =
-        run_batched_filtered ?filter ?metrics ~start ~curve_init
-          ~counters_init ~round_end ~obs ~batch ~pool ~budget ~guard ~dedup
-          ~prerank ~visited ~space ~caps ~objective ~prepare_parent
-          ~fold ()
-      in
-      {
-        best = !best.prog;
-        best_time = !best.runtime;
-        best_moves = !best.moves;
-        curve;
-        evals;
-        skipped;
-        deduped;
-        visited;
-        failures = !failures;
-      }
-
-(* ------------------------------------------------------------------ *)
-(* Simulated annealing                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let simulated_annealing ?(seed = 1) ?filter ?(init = [])
-    ?(obs = Obs.Trace.null) ?metrics ?(guard = Robust.Guard.default)
-    ?(t0 = 0.5) ?(cooling = 0.995) ~(space : space) ~(budget : int) caps
-    (objective : objective) (root : Ir.Prog.t) : result =
-  let guard = Robust.Guard.instrument ?metrics guard in
-  let rng = Util.Rng.create seed in
-  let failures, note = make_noter ?metrics obs in
-  let root_time = guarded_root ~guard ~note objective root in
-  let root_cand = root_candidate root root_time in
-  emit_start obs ~meth:"simulated-annealing" ~space ~budget ~seed
-    ~root_time;
-  let current =
-    ref
-      (match
-         guarded_warm ~guard ~note ?filter caps objective root ~root_time
-           init
-       with
-      | Some w when w.runtime <= root_time -> w
-      | Some _ | None -> root_cand)
-  in
-  let best = ref !current in
-  let temp = ref t0 in
-  let curve =
-    run_curve budget (fun i ->
-        let child, failed =
-          guarded_child ~guard ?filter space caps rng root objective
-            !current
-        in
-        (match failed with
-        | Some f ->
-            (* quarantined: never accepted, never best; cooling still
-               advances so temperature stays a function of the step
-               index alone *)
-            note ~i f
-        | None ->
-            let accept =
-              child.runtime <= !current.runtime
-              ||
-              let delta =
-                (child.runtime -. !current.runtime)
-                /. Float.max !current.runtime 1e-12
-              in
-              Util.Rng.float rng < exp (-.delta /. Float.max !temp 1e-6)
-            in
-            if accept then current := child;
-            if child.runtime < !best.runtime then begin
-              best := child;
-              emit_best obs ~i child
-            end;
-            emit_step obs ~i ~runtime:child.runtime ~best:!best.runtime
-              (fun () ->
-                [
-                  Obs.Trace.bool "accepted" accept; Obs.Trace.num "temp" !temp;
-                ]);
-            note_step ?metrics ~accepted:accept ~temp:!temp
-              ~runtime:child.runtime ());
-        temp := !temp *. cooling;
-        child.runtime)
+  let curve, evals, skipped, deduped, visited =
+    run_rounds ?filter ?metrics ~obs ~pool ~batch ~budget ~guard ~dedup
+      ~prerank ~visited ~space ~caps ~objective ~rng ~parent:pol.parent ~fold
+      ~start:start_at ~curve_init ~counters ~round_end ()
   in
   {
     best = !best.prog;
     best_time = !best.runtime;
     best_moves = !best.moves;
     curve;
-    evals = budget;
-    skipped = 0;
-    deduped = 0;
-    visited = 0;
+    evals;
+    skipped;
+    deduped;
+    visited;
     failures = !failures;
   }
+
+let random_sampling ?seed ?filter ?init ?obs ?metrics ?guard ?pool ?batch
+    ?prerank ?dedup ?visited_dedup ?checkpoint ?snapshot_extra ?restore_extra
+    ~space ~budget caps objective root =
+  search ~meth:"random-sampling" ~policy:(sampling ~root) ?seed ?filter ?init
+    ?obs ?metrics ?guard ?pool ?batch ?prerank ?dedup ?visited_dedup
+    ?checkpoint ?snapshot_extra ?restore_extra ~space ~budget caps objective
+    root
+
+let simulated_annealing ?seed ?filter ?init ?obs ?metrics ?guard ?(t0 = 0.5)
+    ?(cooling = 0.995) ?pool ?batch ?prerank ?dedup ?visited_dedup ?checkpoint
+    ?snapshot_extra ?restore_extra ~space ~budget caps objective root =
+  search ~meth:"simulated-annealing" ~policy:(annealing ~t0 ~cooling) ?seed
+    ?filter ?init ?obs ?metrics ?guard ?pool ?batch ?prerank ?dedup
+    ?visited_dedup ?checkpoint ?snapshot_extra ?restore_extra ~space ~budget
+    caps objective root

@@ -12,7 +12,25 @@
     Methods: weighted random sampling (selection probability from the
     {e parent}'s runtime) and simulated annealing (cost is the
     candidate's own runtime).  Both record the best-so-far curve for the
-    Figure-12 convergence comparison. *)
+    Figure-12 convergence comparison.
+
+    {b One engine.}  Both methods run on one AutoTVM-style batched
+    measurement loop: each round prepares [batch] candidates on the
+    calling thread (parent choice and one RNG stream per slot, in slot
+    order), grows and measures them on [pool], and folds the outcomes
+    back in slot order.  The trajectory is a function of
+    [(seed, batch)] only — pools of 1 and N domains return
+    bit-identical results and, modulo {!Obs.Trace.strip_timing},
+    identical traces.  [batch] defaults to 1, the classic sequential
+    search: each slot's parent sees every earlier slot's outcome.  For
+    [batch > 1] candidates within a round cannot see each other, so the
+    trajectory differs from the sequential one.  Without [pool] the
+    engine runs on the calling thread.
+
+    The [objective] runs concurrently on several domains when [pool]
+    has more than one: it must then be pure or internally synchronized
+    (the analytic machine models are pure; {!Tuning.Cache.memoize} is
+    domain-safe). *)
 
 type objective = Ir.Prog.t -> float
 (** Modelled runtime in seconds; lower is better. *)
@@ -27,18 +45,17 @@ type prerank = {
       (** fraction of distinct candidates per round sent to the real
           objective, in (0, 1]; [1.0] keeps all (training only) *)
 }
-(** A surrogate pre-ranking stage for the batched variants (see
-    {!random_sampling_parallel}): [score] cheaply ranks the distinct
+(** A surrogate pre-ranking stage: [score] cheaply ranks the distinct
     candidates of a round and only the top [filter_ratio] fraction pays
     for a real evaluation; [observe] receives every real measurement as
     online training signal.  Both are abstract closures — the concrete
     learned model lives in [lib/surrogate], which depends on this
     library, not the reverse.  Scoring and observation happen only on
-    the submitting thread, in slot order, so a deterministic model keeps
+    the calling thread, in slot order, so a deterministic model keeps
     the search jobs-invariant. *)
 
 type checkpoint_cfg = { path : string; every : int; resume : bool }
-(** Crash-safe checkpointing for the batched engines (and, via
+(** Crash-safe checkpointing for the stochastic engine (and, via
     {!Exhaustive}, the BFS engine).  A checkpoint is written through
     {!Recover.Store} — atomically and durably — at every round boundary
     where at least [every] budget slots completed since the last write,
@@ -63,16 +80,16 @@ type result = {
   best : Ir.Prog.t;
   best_time : float;
   best_moves : string list;  (** replayable via {!replay_skipping} *)
-  curve : float array;  (** best-so-far runtime after each evaluation *)
+  curve : float array;
+      (** best-so-far runtime after each budget slot, starting from the
+          root (or warm-start) runtime *)
   evals : int;
-      (** objective (simulator) evaluations actually performed: equal to
-          the budget on the default paths; with
-          [prerank]/[dedup]/[visited_dedup] enabled, the budget minus
-          the skipped, deduplicated, visited and build-failed slots —
-          [evals + skipped + deduped + visited + failures = budget]
-          exactly whenever no evaluation is quarantined (a quarantined
-          evaluation consumed its simulator call, so it counts in both
-          [evals] and [failures]) *)
+      (** objective (simulator) evaluations actually performed: the
+          budget minus the skipped, deduplicated, visited and
+          build-failed slots — [evals + skipped + deduped + visited +
+          failures = budget] exactly whenever no evaluation is
+          quarantined (a quarantined evaluation consumed its simulator
+          call, so it counts in both [evals] and [failures]) *)
   skipped : int;
       (** budget slots filtered out by the surrogate — never measured *)
   deduped : int;
@@ -110,111 +127,28 @@ val replay_skipping :
 
     Failures are part of the jobs-invariance guarantee: the guard and
     the {!Robust.Faults} harness are deterministic per candidate, so
-    [jobs = 1] and [jobs = N] agree on {e which} candidates failed. *)
+    pools of 1 and N domains agree on {e which} candidates failed. *)
 
-val random_sampling :
-  ?seed:int ->
-  ?filter:(Transform.Xforms.instance -> bool) ->
-  ?init:string list ->
-  ?obs:Obs.Trace.sink ->
-  ?metrics:Obs.Metrics.t ->
-  ?guard:Robust.Guard.config ->
-  space:space ->
-  budget:int ->
-  Transform.Xforms.caps ->
-  objective ->
-  Ir.Prog.t ->
-  result
-(** Global weighted sampling over all previously encountered candidates;
-    [filter] restricts the move set (used by the TVM-template baseline).
-    [init] warm-starts the pool with a recorded move sequence (replayed
-    through {!replay_skipping}), so search resumes from a tuning
-    database's best instead of restarting cold.
+(** {2 Entry points}
 
-    [obs] receives [search.start] / [search.step] / [search.best]
-    events; [metrics] accumulates [search.steps] and the
-    [search.runtime] histogram.  Both default to off and then cost
-    nothing (see {!Obs.Trace.enabled}). *)
+    Arguments shared by both methods:
+    - [filter] restricts the move set (used by the TVM-template
+      baseline).
+    - [init] warm-starts the search with a recorded move sequence
+      (replayed through {!replay_skipping}), so search resumes from a
+      tuning database's best instead of restarting cold.
+    - [obs] receives [search.start] / [search.eval] / [search.step] /
+      [search.best] events; [metrics] accumulates [search.steps] and
+      the [search.runtime] histogram.  Both default to off and then
+      cost nothing — an untraced run reads no clock (see
+      {!Obs.Trace.enabled}).
+    - [pool] and [batch] (default 1) set the round shape, see above.
+    - [checkpoint] enables crash-safe round-boundary snapshots (see
+      {!checkpoint_cfg}); [snapshot_extra]/[restore_extra] let the
+      caller piggy-back opaque state — the surrogate model — on the
+      checkpoint payload.
 
-val simulated_annealing :
-  ?seed:int ->
-  ?filter:(Transform.Xforms.instance -> bool) ->
-  ?init:string list ->
-  ?obs:Obs.Trace.sink ->
-  ?metrics:Obs.Metrics.t ->
-  ?guard:Robust.Guard.config ->
-  ?t0:float ->
-  ?cooling:float ->
-  space:space ->
-  budget:int ->
-  Transform.Xforms.caps ->
-  objective ->
-  Ir.Prog.t ->
-  result
-(** [init] seeds the annealing chain (and best-so-far) with a recorded
-    sequence; with [budget = 0] the result is exactly the replayed
-    schedule — replay fidelity the tuning tests rely on.
-
-    In addition to the sampling events, annealing [search.step] events
-    carry [accepted] and [temp] fields, and [metrics] gains the
-    [search.accepted] counter plus [search.acceptance_rate] /
-    [search.temperature] gauges. *)
-
-(** {1 Batched-synchronous-parallel variants}
-
-    AutoTVM-style batched candidate measurement: each round prepares
-    [batch] candidate tasks deterministically on the submitting thread
-    (parent selection and one split-off RNG stream per slot, in slot
-    order), evaluates them across the pool's domains, and folds the
-    results back in slot order.  The trajectory is a function of
-    [(seed, batch)] only — [jobs = 1] and [jobs = N] pools return
-    bit-identical results, and the recorded [curve] keeps its
-    best-so-far-per-evaluation meaning.
-
-    For [batch > 1] the algorithm differs from the sequential one
-    (candidates within a round cannot see each other), so the
-    sequential entry points above remain the default path.
-
-    The [objective] runs concurrently on several domains: it must be
-    pure or internally synchronized (the analytic machine models are
-    pure; {!Tuning.Cache.memoize} is domain-safe). *)
-
-val random_sampling_parallel :
-  ?seed:int ->
-  ?filter:(Transform.Xforms.instance -> bool) ->
-  ?init:string list ->
-  ?obs:Obs.Trace.sink ->
-  ?metrics:Obs.Metrics.t ->
-  ?guard:Robust.Guard.config ->
-  ?batch:int ->
-  ?prerank:prerank ->
-  ?dedup:bool ->
-  ?visited_dedup:bool ->
-  ?checkpoint:checkpoint_cfg ->
-  ?snapshot_extra:(unit -> Util.Json.t) ->
-  ?restore_extra:(Util.Json.t -> unit) ->
-  pool:Parallel.Pool.t ->
-  space:space ->
-  budget:int ->
-  Transform.Xforms.caps ->
-  objective ->
-  Ir.Prog.t ->
-  result
-(** Batched {!random_sampling}: parents for a whole round are drawn
-    from the pool as of the round start.  [batch] defaults to 8.
-
-    [checkpoint] enables crash-safe round-boundary snapshots (see
-    {!checkpoint_cfg}); [snapshot_extra]/[restore_extra] let the caller
-    piggy-back opaque state — the surrogate model — on the checkpoint
-    payload.
-
-    Tracing stays jobs-invariant: each task writes [search.eval] events
-    into a private buffer sink, and the buffers are folded into [obs]
-    in slot order — the merged stream is a function of (seed, batch)
-    modulo {!Obs.Trace.strip_timing}.
-
-    {b Evaluation saving} (opt-in; the default path is byte-identical to
-    earlier releases when all are off):
+    {b Evaluation saving} (opt-in; all off by default):
     - [dedup] (default [false]) hashes each round's candidates by their
       canonical fingerprint ({!Canon.fingerprint}) and evaluates each
       distinct state once; the duplicates — including alpha-renamed or
@@ -228,18 +162,45 @@ val random_sampling_parallel :
       slot folds as visited — no measurement, no acceptance draw, not a
       failure ([result.visited], [search.visited_skip] events, and the
       [canon.unique] / [canon.total] metrics counting distinct-new vs
-      built candidates).  Membership is checked on the submitting
-      thread in slot order, so jobs-invariance is preserved.
+      built candidates).  Membership is checked on the calling thread
+      in slot order, so jobs-invariance is preserved.
     - [prerank] scores the distinct candidates with a cheap learned
       model and sends only the top [filter_ratio] fraction to the real
       objective; the rest are skipped (not failures — [result.skipped],
-      [search.prerank] events, [surrogate.scored/kept/filtered]
+      [search.prerank] events, [surrogate.scored/kept/filtered/evals]
       metrics).  Every real measurement is fed back through
       [prerank.observe] in slot order, so search and online training
-      stay jobs-invariant.  Raises [Invalid_argument] unless
-      [filter_ratio] is in (0, 1]. *)
+      stay jobs-invariant.
 
-val simulated_annealing_parallel :
+    Raises [Invalid_argument] when [budget < 0], when [batch < 1], or
+    unless [prerank.filter_ratio] is in (0, 1]. *)
+
+val random_sampling :
+  ?seed:int ->
+  ?filter:(Transform.Xforms.instance -> bool) ->
+  ?init:string list ->
+  ?obs:Obs.Trace.sink ->
+  ?metrics:Obs.Metrics.t ->
+  ?guard:Robust.Guard.config ->
+  ?pool:Parallel.Pool.t ->
+  ?batch:int ->
+  ?prerank:prerank ->
+  ?dedup:bool ->
+  ?visited_dedup:bool ->
+  ?checkpoint:checkpoint_cfg ->
+  ?snapshot_extra:(unit -> Util.Json.t) ->
+  ?restore_extra:(Util.Json.t -> unit) ->
+  space:space ->
+  budget:int ->
+  Transform.Xforms.caps ->
+  objective ->
+  Ir.Prog.t ->
+  result
+(** Global weighted sampling over all previously encountered
+    candidates: a round's parents are drawn from the pool as of the
+    round start. *)
+
+val simulated_annealing :
   ?seed:int ->
   ?filter:(Transform.Xforms.instance -> bool) ->
   ?init:string list ->
@@ -248,6 +209,7 @@ val simulated_annealing_parallel :
   ?guard:Robust.Guard.config ->
   ?t0:float ->
   ?cooling:float ->
+  ?pool:Parallel.Pool.t ->
   ?batch:int ->
   ?prerank:prerank ->
   ?dedup:bool ->
@@ -255,19 +217,21 @@ val simulated_annealing_parallel :
   ?checkpoint:checkpoint_cfg ->
   ?snapshot_extra:(unit -> Util.Json.t) ->
   ?restore_extra:(Util.Json.t -> unit) ->
-  pool:Parallel.Pool.t ->
   space:space ->
   budget:int ->
   Transform.Xforms.caps ->
   objective ->
   Ir.Prog.t ->
   result
-(** Batched {!simulated_annealing}: every proposal of a round branches
-    off the round-start chain state; acceptance, cooling and best-so-far
-    fold sequentially in slot order.  [batch] defaults to 8.  Tracing
-    follows the same per-slot-buffer discipline as
-    {!random_sampling_parallel}, and [prerank] / [dedup] /
-    [visited_dedup] behave identically (a surrogate-skipped or
-    visited-skipped slot draws no acceptance RNG and still advances the
-    cooling schedule, so the temperature remains a function of the step
-    index alone). *)
+(** Every proposal of a round branches off the round-start chain state;
+    acceptance, cooling and best-so-far fold in slot order.  [init]
+    seeds the chain (and best-so-far) with a recorded sequence; with
+    [budget = 0] the result is exactly the replayed schedule — replay
+    fidelity the tuning tests rely on.
+
+    Annealing [search.step] events also carry [accepted] and [temp]
+    fields, and [metrics] gains the [search.accepted] counter plus
+    [search.acceptance_rate] / [search.temperature] gauges.  A slot
+    that was not measured (quarantined, surrogate-skipped or visited)
+    draws no acceptance number and still advances the cooling schedule,
+    so the temperature remains a function of the slot index alone. *)

@@ -25,10 +25,10 @@ let roots =
 type meth = Sampling | Annealing
 
 type engine =
-  | Sequential
-  | Batched of int  (** batched-synchronous engine at this many jobs *)
+  | Sequential  (** batch 1, no pool: the default search *)
+  | Batched of int  (** batch 8 on a pool of this many jobs *)
   | Filtered
-      (** batched at jobs 1 with a surrogate at filter 0.25 and the
+      (** batch 8 at jobs 1 with a surrogate at filter 0.25 and the
           canonical visited set *)
 
 let engine_name = function
@@ -38,32 +38,27 @@ let engine_name = function
 
 let run ?(init = []) ?filter ~engine ~meth ~space ~seed caps tname root =
   let objective = Machine.time (target tname) in
-  let batched ?prerank ?(dedup = false) ?(visited_dedup = false) jobs =
-    Parallel.Pool.with_pool ~jobs (fun pool ->
-        match meth with
-        | Sampling ->
-            S.random_sampling_parallel ~seed ~init ?filter ?prerank ~dedup
-              ~visited_dedup ~pool ~space ~budget caps objective root
-        | Annealing ->
-            S.simulated_annealing_parallel ~seed ~init ?filter ?prerank ~dedup
-              ~visited_dedup ~pool ~space ~budget caps objective root)
+  let search ?pool ?prerank ?(dedup = false) batch =
+    match meth with
+    | Sampling ->
+        S.random_sampling ~seed ~init ?filter ?pool ~batch ?prerank ~dedup
+          ~visited_dedup:dedup ~space ~budget caps objective root
+    | Annealing ->
+        S.simulated_annealing ~seed ~init ?filter ?pool ~batch ?prerank
+          ~dedup ~visited_dedup:dedup ~space ~budget caps objective root
+  in
+  let pooled ?prerank ?dedup jobs =
+    Parallel.Pool.with_pool ~jobs (fun pool -> search ~pool ?prerank ?dedup 8)
   in
   match engine with
-  | Sequential -> (
-      match meth with
-      | Sampling ->
-          S.random_sampling ~seed ~init ?filter ~space ~budget caps objective
-            root
-      | Annealing ->
-          S.simulated_annealing ~seed ~init ?filter ~space ~budget caps
-            objective root)
-  | Batched jobs -> batched jobs
+  | Sequential -> search 1
+  | Batched jobs -> pooled jobs
   | Filtered ->
       let prerank =
         Surrogate.Model.prerank ~filter_ratio:0.25 ~group:"golden"
           (Surrogate.Model.create ())
       in
-      batched ~prerank ~dedup:true ~visited_dedup:true 1
+      pooled ~prerank ~dedup:true 1
 
 let bits f = Printf.sprintf "%Lx" (Int64.bits_of_float f)
 

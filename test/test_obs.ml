@@ -285,7 +285,7 @@ let search_tests =
           let obs = Obs.Trace.make_buffer () in
           let r =
             Parallel.Pool.with_pool ~jobs (fun pool ->
-                Search.Stochastic.simulated_annealing_parallel ~seed:5 ~obs
+                Search.Stochastic.simulated_annealing ~seed:5 ~obs
                   ~batch:6 ~pool ~space:Search.Stochastic.Heuristic
                   ~budget:18 caps_x86 time_x86 (Kernels.scale ~n:64))
           in

@@ -285,11 +285,13 @@ let stoch_eq label (a : Stoch.result) (b : Stoch.result) =
 (* Run the uninterrupted reference, snapshotting the checkpoint file as
    it stood when evaluation [k] started — exactly what a SIGKILL at
    that index leaves behind (Store.save is atomic).  Then resume from
-   the snapshot and demand equality. *)
-let kill_point_invariant meth k =
+   the snapshot and demand equality.  [batch = 1] is the sequential
+   search, whose slots draw from the main RNG stream itself. *)
+let kill_point_invariant meth (k, batch) =
   let budget = 16 and every = 2 in
   let root = Kernels.relu ~n:4 ~m:4 in
   let name = match meth with `Sampling -> "sampling" | `Annealing -> "sa" in
+  let name = Printf.sprintf "%s_b%d" name batch in
   let ck = tmp (Printf.sprintf "ck_%s_%d" name k) in
   let snap = ck ^ ".snap" in
   rm ck;
@@ -303,10 +305,10 @@ let kill_point_invariant meth k =
         in
         match meth with
         | `Sampling ->
-            Stoch.random_sampling_parallel ~seed:11 ~obs ~checkpoint ~pool
+            Stoch.random_sampling ~batch ~seed:11 ~obs ~checkpoint ~pool
               ~space:Stoch.Heuristic ~budget caps_cpu objective root
         | `Annealing ->
-            Stoch.simulated_annealing_parallel ~seed:11 ~obs ~checkpoint
+            Stoch.simulated_annealing ~batch ~seed:11 ~obs ~checkpoint
               ~pool ~space:Stoch.Heuristic ~budget caps_cpu objective root)
   in
   let obs_ref = Obs.Trace.make_buffer () in
@@ -337,18 +339,48 @@ let kill_point_invariant meth k =
   rm snap;
   ok
 
+(* every kill point, at batch 1 (the sequential search) and at batch 8
+   (the rounds Perfdojo uses on a pool) *)
+let kill_points = QCheck.(pair (int_range 1 16) (oneofl [ 1; 8 ]))
+
 let invariance_tests =
   [
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~count:16
+      (QCheck.Test.make ~count:32
          ~name:"sampling: resume from any kill point = uninterrupted run"
-         QCheck.(int_range 1 16)
+         kill_points
          (kill_point_invariant `Sampling));
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~count:16
+      (QCheck.Test.make ~count:32
          ~name:"annealing: resume from any kill point = uninterrupted run"
-         QCheck.(int_range 1 16)
+         kill_points
          (kill_point_invariant `Annealing));
+    Alcotest.test_case "optimize: a checkpoint never changes the answer"
+      `Quick (fun () ->
+        let target = List.assoc "x86" Desc.known_targets in
+        let prog =
+          (Kernels.find_entry Kernels.table3 "softmax").build_small ()
+        in
+        let ck = tmp "ck_optimize" in
+        rm ck;
+        let run ctx =
+          Perfdojo.optimize_ctx ~ctx
+            (Perfdojo.Annealing { budget = 40; space = Stoch.Heuristic })
+            target prog
+        in
+        let plain = run Perfdojo.Ctx.default in
+        let checkpointed =
+          run (Perfdojo.Ctx.with_checkpoint ck Perfdojo.Ctx.default)
+        in
+        rm ck;
+        Alcotest.(check string) "same time"
+          (Printf.sprintf "%h" plain.time_s)
+          (Printf.sprintf "%h" checkpointed.time_s);
+        Alcotest.(check (list string))
+          "same moves" plain.moves checkpointed.moves;
+        Alcotest.(check string) "same schedule"
+          (Ir.Printer.program plain.schedule)
+          (Ir.Printer.program checkpointed.schedule));
     Alcotest.test_case
       "exhaustive: resume re-certifies the optimum, strictly cheaper"
       `Quick (fun () ->

@@ -354,9 +354,9 @@ let quarantine_tests =
 (* Portfolio degradation                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Annealing with budget = -1 crashes inside run_curve (Array.make of a
-   negative length) — a real member crash outside the per-evaluation
-   guard, which is exactly what map_result-based degradation handles. *)
+(* Annealing with budget = -1 raises [Invalid_argument] before any
+   evaluation — a real member crash outside the per-evaluation guard,
+   which is exactly what map_result-based degradation handles. *)
 let crasher seed =
   {
     Perfdojo.plabel = Printf.sprintf "crasher-%d" seed;

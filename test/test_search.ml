@@ -118,6 +118,29 @@ let stochastic_tests =
           if r.curve.(i) > r.curve.(i - 1) +. 1e-15 then ok := false
         done;
         Alcotest.(check bool) "monotone" true !ok);
+    Alcotest.test_case "a negative budget is a typed error" `Quick
+      (fun () ->
+        let p = Kernels.scale ~n:16 in
+        let expected = Invalid_argument "Stochastic: budget must be >= 0" in
+        List.iter
+          (fun batch ->
+            Alcotest.check_raises
+              (Printf.sprintf "sampling, batch %d" batch)
+              expected
+              (fun () ->
+                ignore
+                  (Search.Stochastic.random_sampling ~batch
+                     ~space:Search.Stochastic.Heuristic ~budget:(-1) caps_sn
+                     (objective target_sn) p));
+            Alcotest.check_raises
+              (Printf.sprintf "annealing, batch %d" batch)
+              expected
+              (fun () ->
+                ignore
+                  (Search.Stochastic.simulated_annealing ~batch
+                     ~space:Search.Stochastic.Heuristic ~budget:(-1) caps_sn
+                     (objective target_sn) p)))
+          [ 1; 8 ]);
     Alcotest.test_case "best_moves replays to best program" `Quick (fun () ->
         let p = Kernels.gemv ~m:32 ~n:32 in
         let r =
@@ -220,7 +243,7 @@ let parallel_search_tests =
         let p = Kernels.softmax ~n:16 ~m:16 in
         let run jobs =
           Parallel.Pool.with_pool ~jobs (fun pool ->
-              Search.Stochastic.simulated_annealing_parallel ~seed:7 ~pool
+              Search.Stochastic.simulated_annealing ~batch:8 ~seed:7 ~pool
                 ~space:Search.Stochastic.Heuristic ~budget:40 caps_cpu
                 (objective target_cpu) p)
         in
@@ -230,7 +253,7 @@ let parallel_search_tests =
         let p = Kernels.gemv ~m:32 ~n:32 in
         let run jobs =
           Parallel.Pool.with_pool ~jobs (fun pool ->
-              Search.Stochastic.random_sampling_parallel ~seed:5 ~pool
+              Search.Stochastic.random_sampling ~batch:8 ~seed:5 ~pool
                 ~space:Search.Stochastic.Edges ~budget:40 caps_sn
                 (objective target_sn) p)
         in
@@ -240,7 +263,7 @@ let parallel_search_tests =
         let p = Kernels.relu ~n:16 ~m:16 in
         Parallel.Pool.with_pool ~jobs:3 (fun pool ->
             let run () =
-              Search.Stochastic.simulated_annealing_parallel ~seed:9 ~pool
+              Search.Stochastic.simulated_annealing ~batch:8 ~seed:9 ~pool
                 ~space:Search.Stochastic.Heuristic ~budget:30 caps_cpu
                 (objective target_cpu) p
             in
@@ -249,7 +272,7 @@ let parallel_search_tests =
         let p = Kernels.softmax ~n:8 ~m:8 in
         let r =
           Parallel.Pool.with_pool ~jobs:4 (fun pool ->
-              Search.Stochastic.simulated_annealing_parallel ~seed:3 ~pool
+              Search.Stochastic.simulated_annealing ~batch:8 ~seed:3 ~pool
                 ~space:Search.Stochastic.Heuristic ~budget:30 caps_cpu
                 (objective target_cpu) p)
         in
@@ -260,7 +283,7 @@ let parallel_search_tests =
         let p = Kernels.gemv ~m:32 ~n:32 in
         let r =
           Parallel.Pool.with_pool ~jobs:2 (fun pool ->
-              Search.Stochastic.random_sampling_parallel ~seed:2 ~pool
+              Search.Stochastic.random_sampling ~batch:8 ~seed:2 ~pool
                 ~space:Search.Stochastic.Heuristic ~budget:35 caps_sn
                 (objective target_sn) p)
         in
@@ -405,7 +428,7 @@ let visited_dedup_tests =
           let obs = Obs.Trace.make_buffer () in
           let r =
             Parallel.Pool.with_pool ~jobs (fun pool ->
-                Search.Stochastic.simulated_annealing_parallel ~seed:11
+                Search.Stochastic.simulated_annealing ~batch:8 ~seed:11
                   ~obs ~visited_dedup:true ~pool
                   ~space:Search.Stochastic.Heuristic ~budget:48 caps_sn
                   (objective target_sn) p)
@@ -424,7 +447,7 @@ let visited_dedup_tests =
           (fun (label, p, caps, target) ->
             let r =
               Parallel.Pool.with_pool ~jobs:2 (fun pool ->
-                  Search.Stochastic.random_sampling_parallel ~seed:3
+                  Search.Stochastic.random_sampling ~batch:8 ~seed:3
                     ~visited_dedup:true ~pool
                     ~space:Search.Stochastic.Heuristic ~budget:60 caps
                     (objective target) p)
@@ -445,7 +468,7 @@ let visited_dedup_tests =
           (fun (label, p, caps, target) ->
             let run visited_dedup =
               Parallel.Pool.with_pool ~jobs:2 (fun pool ->
-                  Search.Stochastic.simulated_annealing_parallel ~seed:5
+                  Search.Stochastic.simulated_annealing ~batch:8 ~seed:5
                     ~visited_dedup ~pool
                     ~space:Search.Stochastic.Heuristic ~budget:60 caps
                     (objective target) p)
@@ -465,7 +488,7 @@ let visited_dedup_tests =
         let ms = Obs.Metrics.create () in
         let r =
           Parallel.Pool.with_pool ~jobs:1 (fun pool ->
-              Search.Stochastic.simulated_annealing_parallel ~seed:5 ~obs
+              Search.Stochastic.simulated_annealing ~batch:8 ~seed:5 ~obs
                 ~metrics:ms ~visited_dedup:true ~pool
                 ~space:Search.Stochastic.Heuristic ~budget:40 caps_sn
                 (objective target_sn) p)

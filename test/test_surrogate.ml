@@ -222,7 +222,7 @@ let run_filtered ?(ratio = 0.25) ?(dedup = true) ~jobs ~seed ~budget () =
   let prerank = Surrogate.Model.prerank ~filter_ratio:ratio ~group:"t" model in
   let r =
     Parallel.Pool.with_pool ~jobs (fun pool ->
-        Search.Stochastic.random_sampling_parallel ~seed ~obs ~pool ~prerank
+        Search.Stochastic.random_sampling ~batch:8 ~seed ~obs ~pool ~prerank
           ~dedup ~space:Search.Stochastic.Heuristic ~budget caps time
           (Kernels.softmax ~n:8 ~m:12))
   in
@@ -273,7 +273,7 @@ let keep_all_matches_legacy () =
     let obs = Obs.Trace.make_buffer () in
     let r =
       Parallel.Pool.with_pool ~jobs:2 (fun pool ->
-          Search.Stochastic.random_sampling_parallel ~seed:9 ~obs ~pool
+          Search.Stochastic.random_sampling ~batch:8 ~seed:9 ~obs ~pool
             ~space:Search.Stochastic.Heuristic ~budget:32 caps time
             (Kernels.softmax ~n:8 ~m:12))
     in
@@ -300,7 +300,7 @@ let bad_ratio_rejected () =
       in
       match
         Parallel.Pool.with_pool ~jobs:1 (fun pool ->
-            Search.Stochastic.random_sampling_parallel ~seed:1 ~pool
+            Search.Stochastic.random_sampling ~batch:8 ~seed:1 ~pool
               ~prerank ~space:Search.Stochastic.Heuristic ~budget:8 caps
               time (Kernels.scale ~n:32))
       with
