@@ -24,7 +24,13 @@
    node's key is its printed text, concatenated from its children's
    texts rather than re-printed, and forced only when a sibling list of
    two or more compares it (or an ancestor's text needs it).  Pass 3's
-   top-level texts are the body of the digested text. *)
+   top-level texts are the body of the digested text.
+
+   [Memo] (at the end) wraps [fingerprint] for one search run: a
+   structural table of raw programs answers repeats, and on a miss the
+   statement printers of passes 1 and 3 go through tables of their own,
+   since most statements of a new program sit in subtrees the run has
+   already printed. *)
 
 open Ir.Types
 module SS = Set.Make (String)
@@ -294,13 +300,13 @@ let rename_access m (a : access) = { a with array = rename m a.array }
 (* ------------------------------------------------------------------ *)
 
 (* The canonical program and pass 3's top-level nodes, whose texts are
-   its printed body. *)
-let canonical (p : Ir.Prog.t) : Ir.Prog.t * tnode list =
+   its printed body.  [erased io] prints a statement for pass 1 (array
+   names outside [io] erased) and [renamed] one of pass 3 (already
+   renamed); both sort commutative operands as they print. *)
+let canonical ~erased ~renamed (p : Ir.Prog.t) : Ir.Prog.t * tnode list =
   let io = io_set p in
   (* pass 1: commutative operands, then erased-key sibling sort *)
-  let sorted =
-    sort_body (storage p) (sorted_stmt (erase io)) "" p.body
-  in
+  let sorted = sort_body (storage p) (erased io) "" p.body in
   (* pass 2: alpha-rename by structural signature *)
   let m = renaming io p sorted in
   let buffers =
@@ -318,21 +324,24 @@ let canonical (p : Ir.Prog.t) : Ir.Prog.t * tnode list =
      temporaries with identical access shapes, e.g. [_c1[i] * _c2[i]]),
      then siblings.  The independence checks see the renamed buffer
      table. *)
-  let renamed = { p with buffers; body = [] } in
+  let renamed_prog = { p with buffers; body = [] } in
   let stmt (s : stmt) =
-    sorted_stmt Fun.id
+    renamed
       {
         dst = rename_access m s.dst;
         rhs = Ir.Prog.expr_map_access (rename_access m) s.rhs;
       }
   in
-  let top = resort (storage renamed) stmt "" sorted in
-  ({ renamed with body = List.map (fun t -> t.node) top }, top)
+  let top = resort (storage renamed_prog) stmt "" sorted in
+  ({ renamed_prog with body = List.map (fun t -> t.node) top }, top)
 
-let canonicalize p = fst (canonical p)
+let erased_stmt io = sorted_stmt (erase io)
+let renamed_stmt = sorted_stmt Fun.id
 
-let fingerprint (p : Ir.Prog.t) : string =
-  let canonical, top = canonical p in
+let canonicalize p =
+  fst (canonical ~erased:erased_stmt ~renamed:renamed_stmt p)
+
+let digest ((canonical : Ir.Prog.t), top) =
   let text =
     String.concat "\n"
       (Ir.Printer.header_lines canonical
@@ -342,4 +351,186 @@ let fingerprint (p : Ir.Prog.t) : string =
   Digest.to_hex
     (Digest.string (Printf.sprintf "perfdojo-canon-%d\n%s" version text))
 
+let fingerprint (p : Ir.Prog.t) : string =
+  digest (canonical ~erased:erased_stmt ~renamed:renamed_stmt p)
+
 let equal a b = String.equal (fingerprint a) (fingerprint b)
+
+(* ------------------------------------------------------------------ *)
+(* Per-run memo                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Structural hash and equality over raw IR.  Equality tries [==] first
+   at every node: a move's result shares its untouched subtrees with
+   its input.  Floats compare by their bits, so [Const 0.0] and
+   [Const (-0.0)] (printed "0" and "-0") stay apart, as they must. *)
+module Raw = struct
+  let mix h x = (h lxor x) * 0x100000001b3
+  let str h s = mix h (Hashtbl.hash s)
+  let int_list h l = List.fold_left mix h l
+
+  let index h (i : index) =
+    List.fold_left (fun h (c, d) -> mix (mix h c) d) (mix h i.offset) i.terms
+
+  let access h (a : access) = List.fold_left index (str h a.array) a.idx
+
+  let rec expr h = function
+    | Ref a -> access (mix h 1) a
+    | IterVal i -> index (mix h 2) i
+    | Const f -> mix (mix h 3) (Hashtbl.hash f)
+    | Bin (op, a, b) -> expr (expr (mix (mix h 4) (Hashtbl.hash op)) a) b
+    | Un (op, x) -> expr (mix (mix h 5) (Hashtbl.hash op)) x
+
+  let stmt h (s : stmt) = expr (access h s.dst) s.rhs
+
+  let rec node h = function
+    | Stmt s -> stmt (mix h 6) s
+    | Scope sc ->
+        let h = mix (mix (mix h 7) sc.size) (Hashtbl.hash sc.annot) in
+        let h = mix (mix h (Bool.to_int sc.ssr)) (Hashtbl.hash sc.guard) in
+        List.fold_left node h sc.body
+
+  let buffer h (b : buffer) =
+    let h = mix (str h b.bname) (Hashtbl.hash (b.dtype, b.loc)) in
+    let h = int_list (int_list h b.shape) (List.map Bool.to_int b.reuse) in
+    List.fold_left str h b.arrays
+
+  let prog (p : Ir.Prog.t) =
+    let h = List.fold_left buffer 0 p.buffers in
+    let h = List.fold_left str (List.fold_left str h p.inputs) p.outputs in
+    Hashtbl.hash (List.fold_left node h p.body)
+
+  let index_eq (a : index) (b : index) =
+    a == b
+    || a.offset = b.offset
+       && List.equal (fun (c, d) (c', d') -> c = c' && d = d') a.terms b.terms
+
+  let access_eq (a : access) (b : access) =
+    a == b || (String.equal a.array b.array && List.equal index_eq a.idx b.idx)
+
+  let rec expr_eq a b =
+    a == b
+    ||
+    match (a, b) with
+    | Ref x, Ref y -> access_eq x y
+    | IterVal x, IterVal y -> index_eq x y
+    | Const x, Const y ->
+        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | Bin (o, x, y), Bin (o', x', y') -> o = o' && expr_eq x x' && expr_eq y y'
+    | Un (o, x), Un (o', x') -> o = o' && expr_eq x x'
+    | _ -> false
+
+  let stmt_eq (a : stmt) (b : stmt) =
+    a == b || (access_eq a.dst b.dst && expr_eq a.rhs b.rhs)
+
+  let rec node_eq a b =
+    a == b
+    ||
+    match (a, b) with
+    | Stmt x, Stmt y -> stmt_eq x y
+    | Scope x, Scope y ->
+        x == y
+        || x.size = y.size && x.annot = y.annot && x.ssr = y.ssr
+           && Option.equal Int.equal x.guard y.guard
+           && List.equal node_eq x.body y.body
+    | _ -> false
+
+  let buffer_eq (a : buffer) (b : buffer) =
+    a == b
+    || String.equal a.bname b.bname
+       && a.dtype = b.dtype && a.loc = b.loc
+       && List.equal Int.equal a.shape b.shape
+       && List.equal Bool.equal a.reuse b.reuse
+       && List.equal String.equal a.arrays b.arrays
+
+  let prog_eq (a : Ir.Prog.t) (b : Ir.Prog.t) =
+    a == b
+    || List.equal String.equal a.inputs b.inputs
+       && List.equal String.equal a.outputs b.outputs
+       && List.equal buffer_eq a.buffers b.buffers
+       && List.equal node_eq a.body b.body
+end
+
+(* Table keys carry their hash, computed before the memo's lock is
+   taken. *)
+type 'a keyed = { hash : int; key : 'a }
+
+module Prog_tbl = Hashtbl.Make (struct
+  type t = Ir.Prog.t keyed
+
+  let hash k = k.hash
+  let equal a b = a.hash = b.hash && Raw.prog_eq a.key b.key
+end)
+
+module Stmt_tbl = Hashtbl.Make (struct
+  type t = stmt keyed
+
+  let hash k = k.hash
+  let equal a b = a.hash = b.hash && Raw.stmt_eq a.key b.key
+end)
+
+module Memo = struct
+  type t = {
+    lock : Mutex.t;
+    progs : string Prog_tbl.t;
+    mutable erased : (SS.t * (stmt * string) Stmt_tbl.t) list;
+        (** pass-1 statements, one table per interface array set *)
+    renamed : (stmt * string) Stmt_tbl.t;  (** pass-3 statements *)
+    mutable hits : int;
+  }
+
+  let create () =
+    {
+      lock = Mutex.create ();
+      progs = Prog_tbl.create 64;
+      erased = [];
+      renamed = Stmt_tbl.create 64;
+      hits = 0;
+    }
+
+  let locked t f = Mutex.protect t.lock f
+  let hits t = locked t (fun () -> t.hits)
+
+  (* [print s] through [tbl]: a pure function, so a racing miss only
+     recomputes the same answer. *)
+  let memo_stmt t tbl print (s : stmt) =
+    let k = { hash = Hashtbl.hash (Raw.stmt 0 s); key = s } in
+    match locked t (fun () -> Stmt_tbl.find_opt tbl k) with
+    | Some r -> r
+    | None ->
+        let r = print s in
+        locked t (fun () -> Stmt_tbl.replace tbl k r);
+        r
+
+  let erased t io =
+    let tbl =
+      locked t (fun () ->
+          match List.find_opt (fun (io', _) -> SS.equal io io') t.erased with
+          | Some (_, tbl) -> tbl
+          | None ->
+              let tbl = Stmt_tbl.create 64 in
+              t.erased <- (io, tbl) :: t.erased;
+              tbl)
+    in
+    memo_stmt t tbl (erased_stmt io)
+
+  let fingerprint t (p : Ir.Prog.t) =
+    let k = { hash = Raw.prog p; key = p } in
+    let known =
+      locked t (fun () ->
+          let r = Prog_tbl.find_opt t.progs k in
+          if Option.is_some r then t.hits <- t.hits + 1;
+          r)
+    in
+    match known with
+    | Some fp -> fp
+    | None ->
+        let fp =
+          digest
+            (canonical ~erased:(erased t)
+               ~renamed:(memo_stmt t t.renamed renamed_stmt)
+               p)
+        in
+        locked t (fun () -> Prog_tbl.replace t.progs k fp);
+        fp
+end

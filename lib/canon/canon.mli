@@ -38,9 +38,10 @@
     sibling-sort key is assembled bottom-up from its children's printed
     texts, and is forced only for sibling lists of two or more (or when
     an ancestor's key needs it); the last pass's texts are reused as the
-    body of the digested text.  On the five exhaustive walks of the
-    repository benchmark (50 083 encounters, mostly softmax 64x64
-    states) a fingerprint costs about 25 µs. *)
+    body of the digested text.  A search meets the same raw program many
+    times (about half of the exhaustive benchmark's encounters repeat
+    one the walk already fingerprinted), so searches fingerprint through
+    a {!Memo} that pays the canonicalizer once per distinct program. *)
 
 val version : int
 (** Bumped whenever the canonical form changes; folded into
@@ -59,3 +60,31 @@ val fingerprint : Ir.Prog.t -> string
 
 val equal : Ir.Prog.t -> Ir.Prog.t -> bool
 (** [fingerprint a = fingerprint b]. *)
+
+(** A fingerprint memo owned by one search run.
+
+    [Memo.fingerprint m p] is exactly [fingerprint p]: the memo only
+    skips recomputing a pure function, so it never changes a result.
+    It runs the canonicalizer for a raw program it has not seen before
+    (structural equality with floats compared by their bits, so
+    [Const 0.0] and [Const (-0.0)] stay apart) and, inside it, reuses
+    each statement's pass-1 text (kept per interface array set) and
+    pass-3 text (keyed on the renamed statement).
+
+    A memo holds no global, domain-local or environment state: a run
+    creates one and drops it when it ends.  It is domain-safe — one
+    mutex guards its tables — so pool tasks may share it. *)
+module Memo : sig
+  type t
+
+  val create : unit -> t
+
+  val fingerprint : t -> Ir.Prog.t -> string
+  (** [fingerprint p], computed at most once per distinct raw program. *)
+
+  val hits : t -> int
+  (** Calls answered from the memo without canonicalizing.  When pool
+      tasks meet the same new program at once, each may miss and
+      canonicalize it, so under concurrency the count (never the
+      fingerprints) depends on scheduling. *)
+end

@@ -118,6 +118,7 @@ let run ?filter ?(obs = Obs.Trace.null) ?metrics
   in
   let evals = ref 0 in
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 256 in
+  let memo = Canon.Memo.create () in
   let unique = ref 1 and total = ref 1 in
   let best = ref root (* program *)
   and best_time = ref infinity
@@ -154,7 +155,7 @@ let run ?filter ?(obs = Obs.Trace.null) ?metrics
                 int "max_states" max_states;
                 num "root_time" root_time;
               ]);
-      Hashtbl.replace seen (Canon.fingerprint root) ();
+      Hashtbl.replace seen (Canon.Memo.fingerprint memo root) ();
       best_time := root_time;
       frontier := [ (root, []) ]
   | Some json ->
@@ -216,7 +217,7 @@ let run ?filter ?(obs = Obs.Trace.null) ?metrics
               | exception e ->
                   note (Robust.Guard.rejected_of_exn e)
               | q ->
-                  let fp = Canon.fingerprint q in
+                  let fp = Canon.Memo.fingerprint memo q in
                   if not (Hashtbl.mem seen fp) then begin
                     if !unique >= max_states then truncated := true
                     else begin
@@ -273,6 +274,7 @@ let run ?filter ?(obs = Obs.Trace.null) ?metrics
   | Some m ->
       Obs.Metrics.incr m ~by:!unique "canon.unique";
       Obs.Metrics.incr m ~by:!total "canon.total";
+      Obs.Metrics.incr m ~by:(Canon.Memo.hits memo) "canon.memo_hits";
       Obs.Metrics.incr m ~by:!evals "search.steps");
   if traced then
     Obs.Trace.emit obs "search.exhaustive" (fun () ->

@@ -16,6 +16,11 @@
     bounds are the point: the stochastic engines and the RL agent are
     calibrated against these optima.
 
+    Each walk fingerprints through its own {!Canon.Memo}: an encounter
+    that rebuilds a program the walk already met is still applied and
+    counted in [total], but skips the canonicalizer ([canon.memo_hits]
+    in [metrics]).
+
     Deterministic and sequential: instance enumeration order is fixed,
     nothing draws randomness.  Every evaluation (and every instance
     application) runs under the {!Robust.Guard}. *)

@@ -337,8 +337,9 @@ let note_step ?metrics ?accepted ?temp ~runtime () =
      1. prepare, on the calling thread in slot order: each slot's
         parent (the method's choice) and its task RNG stream;
      2. build, on the pool: grow each child (and, when dedup or the
-        visited set needs it, its canonical fingerprint), no
-        measurement yet;
+        visited set needs it, its canonical fingerprint through the
+        search's [Canon.Memo], so a program met before skips the
+        canonicalizer), no measurement yet;
      3. intra-batch dedup ([dedup]): slots are grouped by canonical
         fingerprint; each distinct state is evaluated once per round
         and duplicates share the measurement ([search.batch_dedup]
@@ -410,6 +411,7 @@ let observe_seed prerank root ~root_time warm =
    [fold slot parent outcome] consumes one slot and returns the
    best-so-far runtime.  [visited], when present, is the cross-round
    visited set: canonical fingerprints of every state already measured.
+   [memo] is the search's fingerprint memo, shared by the pool tasks.
    [start]/[curve_init]/[counters] resume the loop from a checkpointed
    round boundary, and [round_end] fires after each round with the
    filled count, the curve and the (evals, skipped, deduped, visited)
@@ -417,8 +419,8 @@ let observe_seed prerank root ~root_time warm =
    plus that accounting: budget = evals + skipped + deduped + visited +
    build-failures. *)
 let run_rounds ?filter ?metrics ~obs ~pool ~batch ~budget ~guard ~dedup
-    ~prerank ~visited ~space ~caps ~objective ~rng ~parent ~fold ~start
-    ~curve_init ~counters ~round_end () =
+    ~prerank ~visited ~memo ~space ~caps ~objective ~rng ~parent ~fold
+    ~start ~curve_init ~counters ~round_end () =
   if start < 0 || start > budget then
     invalid_arg "Stochastic: resume offset out of range";
   let traced = Obs.Trace.enabled obs in
@@ -453,7 +455,7 @@ let run_rounds ?filter ?metrics ~obs ~pool ~batch ~budget ~guard ~dedup
           let r = build_child ?filter space caps parent task_rng in
           let fp =
             match r with
-            | Ok (_, p, _) when want_fp -> Canon.fingerprint p
+            | Ok (_, p, _) when want_fp -> Canon.Memo.fingerprint memo p
             | Ok _ | Error _ -> ""
           in
           (r, fp))
@@ -640,14 +642,15 @@ let run_rounds ?filter ?metrics ~obs ~pool ~batch ~budget ~guard ~dedup
 
 (* Seed a fresh visited set with the states the prelude already
    measured (root, warm-start replay): children that land back on them
-   must not pay a second simulation. *)
-let make_visited ~visited_dedup root warm =
+   must not pay a second simulation.  The seeds go through the search's
+   memo, so a child that rebuilds the root is a memo hit. *)
+let make_visited ~visited_dedup ~memo root warm =
   if not visited_dedup then None
   else begin
     let set = Hashtbl.create 64 in
-    Hashtbl.replace set (Canon.fingerprint root) ();
+    Hashtbl.replace set (Canon.Memo.fingerprint memo root) ();
     (match warm with
-    | Some w -> Hashtbl.replace set (Canon.fingerprint w.prog) ()
+    | Some w -> Hashtbl.replace set (Canon.Memo.fingerprint memo w.prog) ()
     | None -> ());
     Some set
   end
@@ -1052,6 +1055,7 @@ let search ~meth ~policy ?(seed = 1) ?filter ?(init = [])
     load_stochastic_resume checkpoint ~meth ~space ~seed ~budget ~batch
   in
   let failures, note = make_noter ?metrics obs in
+  let memo = Canon.Memo.create () in
   let rng, start, visited =
     match resumed with
     | None ->
@@ -1065,7 +1069,7 @@ let search ~meth ~policy ?(seed = 1) ?filter ?(init = [])
         observe_seed prerank root ~root_time warm;
         ( rng,
           Cold (root_candidate root root_time, warm),
-          make_visited ~visited_dedup root warm )
+          make_visited ~visited_dedup ~memo root warm )
     | Some st ->
         (* resume: the entire prelude is skipped — its effects (root
            evaluation, warm replay, start event, model seeding) are all
@@ -1140,9 +1144,13 @@ let search ~meth ~policy ?(seed = 1) ?filter ?(init = [])
   in
   let curve, evals, skipped, deduped, visited =
     run_rounds ?filter ?metrics ~obs ~pool ~batch ~budget ~guard ~dedup
-      ~prerank ~visited ~space ~caps ~objective ~rng ~parent:pol.parent ~fold
-      ~start:start_at ~curve_init ~counters ~round_end ()
+      ~prerank ~visited ~memo ~space ~caps ~objective ~rng ~parent:pol.parent
+      ~fold ~start:start_at ~curve_init ~counters ~round_end ()
   in
+  (match metrics with
+  | Some m when dedup || visited_dedup ->
+      Obs.Metrics.incr m ~by:(Canon.Memo.hits memo) "canon.memo_hits"
+  | _ -> ());
   {
     best = !best.prog;
     best_time = !best.runtime;

@@ -164,6 +164,11 @@ val replay_skipping :
       [canon.unique] / [canon.total] metrics counting distinct-new vs
       built candidates).  Membership is checked on the calling thread
       in slot order, so jobs-invariance is preserved.
+    - With [dedup] or [visited_dedup], the search fingerprints through
+      one {!Canon.Memo} that lives as long as the call: a candidate
+      structurally equal to one this search already fingerprinted skips
+      the canonicalizer, and [canon.memo_hits] counts those calls.  Results are the same
+      as with {!Canon.fingerprint}.
     - [prerank] scores the distinct candidates with a cheap learned
       model and sends only the top [filter_ratio] fraction to the real
       objective; the rest are skipped (not failures — [result.skipped],

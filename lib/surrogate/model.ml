@@ -86,11 +86,37 @@ let observe t ~group ~features time =
 let observe_prog t ~group prog time =
   observe t ~group ~features:(Features.extract prog) time
 
+(* The search measures a subset of the candidates it just scored and
+   hands [observe] the very program it handed [score], so [observe]
+   reuses the vector [score] extracted for that physical program.  The
+   last [reuse] scored vectors are kept (a round scores at most its
+   batch, 8 on every library path); a program not among them (the root,
+   a warm start, a candidate of a larger batch) is extracted afresh.
+   Features are a pure function of the program, so this never changes
+   a weight. *)
 let prerank ?(filter_ratio = 1.0) ~group t : Search.Stochastic.prerank =
+  let reuse = 16 in
+  let recent = Array.make reuse None and next = ref 0 in
+  let lock = Mutex.create () in
+  let score p =
+    let f = Features.extract p in
+    Mutex.protect lock (fun () ->
+        recent.(!next) <- Some (p, f);
+        next := (!next + 1) mod reuse);
+    score t f
+  in
+  let features p =
+    let hit =
+      Mutex.protect lock (fun () ->
+          Array.find_map
+            (function Some (q, f) when q == p -> Some f | _ -> None)
+            recent)
+    in
+    match hit with Some f -> f | None -> Features.extract p
+  in
   {
-    Search.Stochastic.score = (fun p -> score t (Features.extract p));
-    observe =
-      (fun p time -> observe t ~group ~features:(Features.extract p) time);
+    Search.Stochastic.score;
+    observe = (fun p time -> observe t ~group ~features:(features p) time);
     filter_ratio;
   }
 

@@ -59,8 +59,11 @@ val prerank :
   ?filter_ratio:float -> group:string -> t -> Search.Stochastic.prerank
 (** The bridge into the search layer: a {!Search.Stochastic.prerank}
     whose [score] extracts features and ranks with this model and whose
-    [observe] trains it online under [group].  [filter_ratio] defaults
-    to [1.0] (keep everything — training only). *)
+    [observe] trains it online under [group].  [observe] reuses the
+    vector [score] extracted for the same physical program (the search
+    measures the programs it just scored), so each measured candidate
+    is extracted once.  [filter_ratio] defaults to [1.0] (keep
+    everything — training only). *)
 
 (** {1 Offline training} *)
 

@@ -1,9 +1,11 @@
-(* The stochastic-search trajectories pinned by search_golden.txt.
+(* The search trajectories pinned by search_golden.txt.
 
-   Each case runs one engine on a kernel's small root and renders its
-   result as one line: the best runtime's IEEE-754 bits, the exact
-   accounting, the MD5 of the best-so-far curve's bits and the winning
-   move sequence.  Any change to a trajectory — an RNG draw, an
+   Each stochastic case runs one engine on a kernel's small root and
+   renders its result as one line: the best runtime's IEEE-754 bits, the
+   exact accounting, the MD5 of the best-so-far curve's bits and the
+   winning move sequence.  Each exhaustive case renders a bounded walk's
+   partition (unique / total states), evaluations, failures, reached
+   depth, certificates, best-time bits and best moves.  Any change to a trajectory — an RNG draw, an
    instance order, a replayed program — changes some line, so the file
    holds the search engines to byte-identical behaviour across internal
    rewrites.  gen_search_golden.exe writes the file; test_search checks
@@ -73,6 +75,44 @@ let render label (r : S.result) =
     label (bits r.best_time) r.evals r.skipped r.deduped r.visited r.failures
     curve
     (String.concat "; " r.best_moves)
+
+let render_exhaustive label (r : Search.Exhaustive.result) =
+  Printf.sprintf
+    "%s | unique=%d total=%d evals=%d failures=%d reached_depth=%d \
+     certified=%b exhausted=%b time=%s | %s"
+    label r.unique r.total r.evals r.failures r.reached_depth r.certified
+    r.exhausted (bits r.best_time)
+    (String.concat "; " r.best_moves)
+
+(* Bounded exhaustive walks: the canonical dedup decides which states
+   are expanded, so a fingerprint that merged or split states would
+   move a partition here. *)
+let exhaustive_cases () =
+  let x86 = Machine.caps (target "x86") in
+  List.map
+    (fun (label, tname, caps, depth, root) ->
+      let r =
+        Search.Exhaustive.run ~depth caps (Machine.time (target tname)) root
+      in
+      (label, render_exhaustive label r))
+    [
+      ( "scale 16 snitch exhaustive d3",
+        "snitch",
+        Machine.caps (target "snitch"),
+        3,
+        Kernels.scale ~n:16 );
+      ("relu 8x8 x86 exhaustive d3", "x86", x86, 3, Kernels.relu ~n:8 ~m:8);
+      ( "gemv 16x16 x86+composites exhaustive d2",
+        "x86",
+        Transfo.Composites.enable ~names:[ "all" ] x86,
+        2,
+        Kernels.gemv ~m:16 ~n:16 );
+      ( "softmax x86 exhaustive d2",
+        "x86",
+        x86,
+        2,
+        (Kernels.find_entry Kernels.table3 "softmax").build_small () );
+    ]
 
 (* Every case as (label, rendered line), in file order. *)
 let cases () =
@@ -151,9 +191,11 @@ let cases () =
         (S.Heuristic, "heuristic", Annealing, "annealing", 11);
       ]
   in
-  matrix @ [ warm; composites ] @ no_unroll
+  matrix @ [ warm; composites ] @ no_unroll @ exhaustive_cases ()
 
 let header =
-  "# Golden stochastic-search trajectories.\n\
+  "# Golden search trajectories.\n\
    # One line per case: label | best-time bits, accounting, MD5 of the\n\
-   # curve's bits | best moves.  Written by test/gen_search_golden.exe.\n"
+   # curve's bits | best moves; exhaustive walks record their partition,\n\
+   # depth and certificates instead of a curve.  Written by\n\
+   # test/gen_search_golden.exe.\n"

@@ -250,9 +250,81 @@ let unit_tests =
           corpus);
   ]
 
+(* Every program within two moves of [p], in enumeration order. *)
+let within_two caps p =
+  let children q =
+    List.filter_map
+      (fun (i : Transform.Xforms.instance) ->
+        match i.apply q with c -> Some c | exception _ -> None)
+      (Transform.Xforms.all caps q)
+  in
+  let level1 = children p in
+  (p :: level1) @ List.concat_map children level1
+
+(* [Canon.Memo] may only skip work: each answer is [Canon.fingerprint]'s. *)
+let memo_tests =
+  [
+    Alcotest.test_case "the golden corpus reads back through one memo" `Quick
+      (fun () ->
+        let m = Canon.Memo.create () in
+        let pass () =
+          List.iter
+            (fun (label, expected, text) ->
+              Alcotest.(check string) label expected
+                (Canon.Memo.fingerprint m (Ir.Parser.program text)))
+            (golden_corpus ())
+        in
+        pass ();
+        let before = Canon.Memo.hits m in
+        pass ();
+        (* freshly parsed, so every hit is a structural match *)
+        Alcotest.(check int) "second pass is all hits"
+          (List.length (golden_corpus ()))
+          (Canon.Memo.hits m - before));
+    Alcotest.test_case "0.0 and -0.0 constants keep distinct fingerprints"
+      `Quick (fun () ->
+        let p = (Kernels.find_entry Kernels.table3 "softmax").build_small () in
+        let rec neg_zero = function
+          | Const 0.0 -> Const (-0.0)
+          | Bin (op, a, b) -> Bin (op, neg_zero a, neg_zero b)
+          | Un (op, a) -> Un (op, neg_zero a)
+          | (Ref _ | IterVal _ | Const _) as e -> e
+        in
+        let rec go = function
+          | Stmt st -> Stmt { st with rhs = neg_zero st.rhs }
+          | Scope sc -> Scope { sc with body = List.map go sc.body }
+        in
+        let q = { p with body = List.map go p.body } in
+        Alcotest.(check bool) "the two print apart" false
+          (String.equal (fp p) (fp q));
+        let m = Canon.Memo.create () in
+        Alcotest.(check string) "0.0" (fp p) (Canon.Memo.fingerprint m p);
+        Alcotest.(check string) "-0.0" (fp q) (Canon.Memo.fingerprint m q));
+    Alcotest.test_case "one memo across different interface arrays" `Quick
+      (fun () ->
+        (* the same raw statements under two interface sets: promoting
+           the temporary [e] to an output changes how pass 1 erases it *)
+        let softmax =
+          (Kernels.find_entry Kernels.table3 "softmax").build_small ()
+        in
+        let promoted = { softmax with outputs = softmax.outputs @ [ "e" ] } in
+        let m = Canon.Memo.create () in
+        List.iter
+          (fun p ->
+            List.iter
+              (fun q ->
+                Alcotest.(check string) "memo = fingerprint" (fp q)
+                  (Canon.Memo.fingerprint m q))
+              (within_two caps_cpu p))
+          [ softmax; promoted; Kernels.relu ~n:4 ~m:4; softmax ];
+        Alcotest.(check bool) "repeats were hits" true
+          (Canon.Memo.hits m > 0));
+  ]
+
 let () =
   Alcotest.run "canon"
     [
       ("qcheck", List.map QCheck_alcotest.to_alcotest qcheck_tests);
       ("unit", unit_tests);
+      ("memo", memo_tests);
     ]

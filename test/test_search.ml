@@ -416,6 +416,20 @@ let exhaustive_tests =
               (Util.Json.member "unique" j <> None));
         Alcotest.(check bool) "per-level events" true
           (find "search.exhaustive_level" <> None));
+    Alcotest.test_case "memo hits are repeated encounters" `Quick (fun () ->
+        (* a memo hit is a raw program the walk already fingerprinted,
+           so it can never be a new state *)
+        let ms = Obs.Metrics.create () in
+        let r =
+          Search.Exhaustive.run ~metrics:ms ~depth:3 caps_sn
+            (objective target_sn) (Kernels.scale ~n:16)
+        in
+        let hits = Obs.Metrics.counter ms "canon.memo_hits" in
+        Alcotest.(check bool)
+          (Printf.sprintf "0 < hits %d <= total %d - unique %d" hits r.total
+             r.unique)
+          true
+          (hits > 0 && hits <= r.total - r.unique));
   ]
 
 let visited_dedup_tests =

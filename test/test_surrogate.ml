@@ -216,10 +216,13 @@ let offline_deterministic () =
 (* The filtered engine                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let run_filtered ?(ratio = 0.25) ?(dedup = true) ~jobs ~seed ~budget () =
+let run_filtered ?(ratio = 0.25) ?(dedup = true)
+    ?(prerank_of =
+      fun ~filter_ratio m -> Surrogate.Model.prerank ~filter_ratio ~group:"t" m)
+    ~jobs ~seed ~budget () =
   let model = trained_model 3 in
   let obs = Obs.Trace.make_buffer () in
-  let prerank = Surrogate.Model.prerank ~filter_ratio:ratio ~group:"t" model in
+  let prerank = prerank_of ~filter_ratio:ratio model in
   let r =
     Parallel.Pool.with_pool ~jobs (fun pool ->
         Search.Stochastic.random_sampling ~batch:8 ~seed ~obs ~pool ~prerank
@@ -291,6 +294,35 @@ let keep_all_matches_legacy () =
   Alcotest.(check int) "same stripped event count" (List.length t_plain)
     (List.length t_scored)
 
+(* [Model.prerank]'s [observe] reuses the vector [score] extracted for
+   the same program; a prerank that extracts on every call must train
+   bit-identical weights along the same trajectory. *)
+let prerank_reuses_features () =
+  let extracting ~filter_ratio model =
+    let features = Surrogate.Features.extract in
+    {
+      Search.Stochastic.score =
+        (fun p -> Surrogate.Model.score model (features p));
+      observe =
+        (fun p time ->
+          Surrogate.Model.observe model ~group:"t" ~features:(features p)
+            time);
+      filter_ratio;
+    }
+  in
+  let r1, t1, m1 = run_filtered ~jobs:1 ~seed:9 ~budget:32 () in
+  let r2, t2, m2 =
+    run_filtered ~prerank_of:extracting ~jobs:1 ~seed:9 ~budget:32 ()
+  in
+  Alcotest.(check bool) "the model trained" true
+    (Surrogate.Model.updates m1 > Surrogate.Model.updates (trained_model 3));
+  Alcotest.(check string) "bit-identical weights"
+    (Util.Json.to_string (Surrogate.Model.to_json m2))
+    (Util.Json.to_string (Surrogate.Model.to_json m1));
+  Alcotest.(check int) "same evals" r2.evals r1.evals;
+  Alcotest.(check (list string)) "same moves" r2.best_moves r1.best_moves;
+  Alcotest.(check int) "same event count" (List.length t2) (List.length t1)
+
 let bad_ratio_rejected () =
   let model = Surrogate.Model.create () in
   List.iter
@@ -338,6 +370,8 @@ let () =
             `Quick slot_accounting;
           Alcotest.test_case "keep-all filter matches the plain engine"
             `Quick keep_all_matches_legacy;
+          Alcotest.test_case "scored features are reused when measured"
+            `Quick prerank_reuses_features;
           Alcotest.test_case "filter_ratio outside (0,1] is rejected" `Quick
             bad_ratio_rejected;
         ] );
